@@ -17,8 +17,9 @@ Historical findings captured as comments where they drove code decisions:
 
 * event execution dominates (as it should — the kernel adds ~2-3 Python
   function calls per event on top of the model handler);
-* `heapq` beats the pure-Python splay tree on CPython by constant factor
-  (the splay tree exists for fidelity and for PyPy-style runtimes);
+* `heapq` beat the pure-Python splay tree and ladder queue on CPython at
+  every pending-set size measured (up to ~20k events), so the binary heap
+  is the only pending-queue structure;
 * `dict` payloads beat dataclass payloads for the ROUTE/ARRIVE hop loop.
 """
 
@@ -50,12 +51,6 @@ def main() -> None:
     parser.add_argument("--lines", type=int, default=25, help="rows to print")
     parser.add_argument("--n", type=int, default=8, help="network dimension")
     parser.add_argument("--duration", type=float, default=60.0)
-    parser.add_argument(
-        "--queue",
-        default="heap",
-        choices=("heap", "ladder", "splay"),
-        help="pending-queue implementation (optimistic engine only)",
-    )
     parser.add_argument(
         "--cancellation",
         default="aggressive",
@@ -120,8 +115,7 @@ def main() -> None:
     else:
         ecfg = EngineConfig(
             end_time=cfg.duration, n_pes=4, n_kps=16, batch_size=64, seed=args.seed,
-            queue=args.queue, cancellation=args.cancellation,
-            executor=args.executor,
+            cancellation=args.cancellation, executor=args.executor,
         )
         result = run_optimistic(
             model, ecfg, metrics=capture.metrics, spans=capture.spans,

@@ -5,9 +5,9 @@ exits non-zero when any suite regressed past the threshold against the
 previous trajectory file.  ``--smoke`` runs a sub-second version of the
 matrix with no file output — a CI liveness check that also asserts the
 optimistic engine commits exactly what the sequential oracle does on the
-smoke workload.  ``--queue``/``--cancellation`` select the optimistic
-engine's scheduler structures and ``--executor`` the scalar vs
-vectorized LP stepping mode (the committed counts must not change);
+smoke workload.  ``--cancellation`` selects the optimistic engine's
+cancellation mode and ``--executor`` the scalar vs vectorized LP
+stepping mode (the committed counts must not change);
 ``--compare A.json B.json`` diffs two existing trajectory files without
 running anything.
 """
@@ -68,8 +68,8 @@ SMOKE_GOLDEN = {
     "seq-hotpotato": 1055,
     "cons-hotpotato": 1055,
     "opt-hotpotato": 1055,
-    # The stress suites commit the same work under every --queue,
-    # --cancellation and --executor combination; CI runs them all, so
+    # The stress suites commit the same work under every --cancellation
+    # and --executor combination; CI runs them all, so
     # these pins double as the cross-mode determinism gate.
     "opt-phold-stress": 657,
     "opt-hotpotato-stress": 1055,
@@ -438,13 +438,6 @@ def main(argv: list[str] | None = None) -> int:
         help="measure and compare but do not write a trajectory file",
     )
     parser.add_argument(
-        "--queue",
-        choices=("heap", "ladder", "splay"),
-        default=None,
-        help="pending-queue implementation for the optimistic suites "
-        "(default: the engine default, heap)",
-    )
-    parser.add_argument(
         "--cancellation",
         choices=("aggressive", "lazy"),
         default=None,
@@ -541,16 +534,14 @@ def _run(args) -> int:
         return 0
 
     if args.smoke:
-        mode = f"queue={args.queue or 'heap'}, " \
-               f"cancellation={args.cancellation or 'aggressive'}, " \
+        mode = f"cancellation={args.cancellation or 'aggressive'}, " \
                f"executor={args.executor or 'scalar'}"
         print(f"repro.bench --smoke ({mode}; liveness + determinism, "
               "not a benchmark)")
         results = run_suites(
             repeats=1, smoke=True, only=args.suites,
             telemetry_dir=args.telemetry_dir,
-            queue=args.queue, cancellation=args.cancellation,
-            executor=args.executor,
+            cancellation=args.cancellation, executor=args.executor,
         )
         by_name = {r.name: r for r in results}
         seq = by_name.get("seq-hotpotato")
@@ -584,8 +575,7 @@ def _run(args) -> int:
     results = run_suites(
         repeats=args.repeats, only=args.suites,
         telemetry_dir=args.telemetry_dir,
-        queue=args.queue, cancellation=args.cancellation,
-        executor=args.executor,
+        cancellation=args.cancellation, executor=args.executor,
     )
     if args.checkpoint_dir is not None:
         _checkpointed_run(args.checkpoint_dir, args.checkpoint_every, False)

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.bench.suites import SUITES, Suite
+from repro.core.config import EngineConfig
+from repro.errors import ConfigurationError
 
 __all__ = [
     "BenchResult",
@@ -66,7 +68,8 @@ class BenchResult:
     mean_seconds: float
     committed_per_sec: float
     #: Pending-queue implementation and cancellation mode the suite ran
-    #: under ("n/a" for engines without a pending queue).  Schema 2.
+    #: under ("n/a" for engines without a pending queue).  Schema 2; the
+    #: binary heap is the only queue now, but older files may name others.
     queue_impl: str = "n/a"
     cancellation: str = "n/a"
     #: LP stepping mode ("scalar" or "vectorized").  Schema 2; older
@@ -110,7 +113,6 @@ def run_suite(
     repeats: int = 3,
     smoke: bool = False,
     telemetry_dir: Path | None = None,
-    queue: str | None = None,
     cancellation: str | None = None,
     executor: str | None = None,
 ) -> BenchResult:
@@ -133,9 +135,7 @@ def run_suite(
     for _ in range(max(1, repeats)):
         gc.collect()
         t0 = time.perf_counter()
-        result = suite.run(
-            smoke, queue=queue, cancellation=cancellation, executor=executor,
-        )
+        result = suite.run(smoke, cancellation=cancellation, executor=executor)
         walls.append(time.perf_counter() - t0)
         del result.lps[:]  # drop the LP population before the next repeat
     assert result is not None
@@ -152,7 +152,6 @@ def run_suite(
                 "workload": suite.workload,
                 "seed": suite.seed,
                 "smoke": smoke,
-                "queue": queue or "heap",
                 "cancellation": cancellation or "aggressive",
                 "executor": executor or "scalar",
             },
@@ -160,7 +159,7 @@ def run_suite(
         try:
             telemetry_result = suite.run(
                 smoke, metrics=capture.metrics, spans=capture.spans,
-                queue=queue, cancellation=cancellation, executor=executor,
+                cancellation=cancellation, executor=executor,
             )
         except KeyboardInterrupt:
             # Flush and close the sink so the partial recording is
@@ -194,7 +193,7 @@ def run_suite(
         best_seconds=best,
         mean_seconds=sum(walls) / len(walls),
         committed_per_sec=committed / best if best > 0 else 0.0,
-        queue_impl=(queue or "heap") if optimistic else "n/a",
+        queue_impl="heap" if optimistic else "n/a",
         cancellation=(cancellation or "aggressive") if optimistic else "n/a",
         executor=executor or "scalar",
         p50_seconds=_quantile(ordered, 0.50),
@@ -208,13 +207,28 @@ def run_suite(
     )
 
 
+def _refusal(suite: Suite, executor: str | None) -> str | None:
+    """Why ``suite`` cannot run under ``executor``, or None when it can.
+
+    Process mode refuses the vectorized executor up front (see
+    :class:`~repro.core.config.EngineConfig`); the process-mode suites
+    are skipped with that reason rather than run.
+    """
+    if suite.engine != "multiprocess" or executor is None:
+        return None
+    try:
+        EngineConfig(end_time=1.0, parallelism="process", executor=executor)
+    except ConfigurationError as exc:
+        return str(exc)
+    return None
+
+
 def run_suites(
     repeats: int = 3,
     smoke: bool = False,
     only: list[str] | None = None,
     report=print,
     telemetry_dir: Path | None = None,
-    queue: str | None = None,
     cancellation: str | None = None,
     executor: str | None = None,
 ) -> list[BenchResult]:
@@ -229,9 +243,13 @@ def run_suites(
             )
     results = []
     for suite in selected:
+        refused = _refusal(suite, executor)
+        if refused is not None:
+            report(f"  {suite.name:<16} refused: {refused}")
+            continue
         res = run_suite(
             suite, repeats=repeats, smoke=smoke, telemetry_dir=telemetry_dir,
-            queue=queue, cancellation=cancellation, executor=executor,
+            cancellation=cancellation, executor=executor,
         )
         report(
             f"  {res.name:<16} {res.committed_per_sec:>12,.0f} ev/s  "

@@ -7,19 +7,18 @@ repeat of the full matrix takes a few seconds; ``smoke=True`` shrinks
 everything to CI-smoke scale (< 1 s total) and is used by the harness's
 cross-engine determinism check rather than for throughput numbers.
 
-The optimistic suites additionally accept ``queue`` and ``cancellation``
-overrides (the CLI's ``--queue`` / ``--cancellation``), so the same
-pinned workloads can be measured under the ladder/splay queues and lazy
-cancellation; every suite accepts an ``executor`` override selecting the
-scalar or vectorized (struct-of-arrays) LP stepping mode.  The committed
-counts must not change with any of these knobs — the smoke goldens in
-:mod:`repro.bench.__main__` enforce that.
+The optimistic suites additionally accept a ``cancellation`` override
+(the CLI's ``--cancellation``), so the same pinned workloads can be
+measured under lazy cancellation; every suite accepts an ``executor``
+override selecting the scalar or vectorized (struct-of-arrays) LP
+stepping mode.  The committed counts must not change with either knob —
+the smoke goldens in :mod:`repro.bench.__main__` enforce that.
 
 The ``*-stress`` suites are deliberately rollback-heavy: PHOLD with
 near-zero lookahead and a 90% remote fraction, and the saturated
 hot-potato network with a large optimism batch.  They exist to show how
-the scheduler structures behave when cancellation dominates — the regime
-where lazy cancellation and the ladder queue earn their keep.
+cancellation behaves when it dominates — the regime where lazy
+cancellation earns its keep.
 """
 
 from __future__ import annotations
@@ -46,16 +45,16 @@ BENCH_SEED = 0xB5EED
 class Suite:
     """One (engine, workload) cell of the benchmark matrix.
 
-    ``run(smoke, metrics=None, spans=None, queue=None,
-    cancellation=None)`` builds the model and engine from scratch and
+    ``run(smoke, metrics=None, spans=None, cancellation=None,
+    executor=None)`` builds the model and engine from scratch and
     executes; the optional ``metrics`` recorder (see
     :mod:`repro.obs.metrics`) and ``spans`` tracer (see
     :mod:`repro.obs.spans`) enable per-cell telemetry capture — the
     harness attaches them only on a dedicated untimed run, so the timed
-    repeats measure the exact detached configuration.  ``queue``/``cancellation`` select the pending-queue
-    implementation and cancellation mode on the optimistic engine (the
-    other engines accept and ignore them); ``executor`` selects scalar
-    vs vectorized LP stepping on every engine.
+    repeats measure the exact detached configuration.  ``cancellation``
+    selects the cancellation mode on the optimistic engine (the other
+    engines accept and ignore it); ``executor`` selects scalar vs
+    vectorized LP stepping on every engine.
     """
 
     name: str
@@ -111,10 +110,8 @@ def _hotpotato_n128_cfg(smoke: bool) -> HotPotatoConfig:
     return HotPotatoConfig(n=12, duration=240.0, injector_fraction=1.0)
 
 
-def _engine_overrides(queue, cancellation, executor=None) -> dict:
+def _engine_overrides(cancellation, executor=None) -> dict:
     overrides = {}
-    if queue is not None:
-        overrides["queue"] = queue
     if cancellation is not None:
         overrides["cancellation"] = cancellation
     if executor is not None:
@@ -125,7 +122,7 @@ def _engine_overrides(queue, cancellation, executor=None) -> dict:
 # ----------------------------------------------------------------------
 # Suite bodies.
 # ----------------------------------------------------------------------
-def _seq_phold(smoke: bool, metrics=None, spans=None, queue=None, cancellation=None, executor=None) -> RunResult:
+def _seq_phold(smoke: bool, metrics=None, spans=None, cancellation=None, executor=None) -> RunResult:
     cfg, end = _phold_cfg(smoke)
     return run_sequential(
         PholdModel(cfg), end, seed=BENCH_SEED,
@@ -133,7 +130,7 @@ def _seq_phold(smoke: bool, metrics=None, spans=None, queue=None, cancellation=N
     )
 
 
-def _seq_hotpotato(smoke: bool, metrics=None, spans=None, queue=None, cancellation=None, executor=None) -> RunResult:
+def _seq_hotpotato(smoke: bool, metrics=None, spans=None, cancellation=None, executor=None) -> RunResult:
     cfg = _hotpotato_cfg(smoke)
     return run_sequential(
         HotPotatoModel(cfg), cfg.duration, seed=BENCH_SEED,
@@ -141,7 +138,7 @@ def _seq_hotpotato(smoke: bool, metrics=None, spans=None, queue=None, cancellati
     )
 
 
-def _cons_phold(smoke: bool, metrics=None, spans=None, queue=None, cancellation=None, executor=None) -> RunResult:
+def _cons_phold(smoke: bool, metrics=None, spans=None, cancellation=None, executor=None) -> RunResult:
     cfg, end = _phold_cfg(smoke)
     ccfg = ConservativeConfig(
         end_time=end, n_pes=4, sync="yawns", seed=BENCH_SEED,
@@ -150,7 +147,7 @@ def _cons_phold(smoke: bool, metrics=None, spans=None, queue=None, cancellation=
     return run_conservative(PholdModel(cfg), ccfg, metrics=metrics, spans=spans)
 
 
-def _cons_hotpotato(smoke: bool, metrics=None, spans=None, queue=None, cancellation=None, executor=None) -> RunResult:
+def _cons_hotpotato(smoke: bool, metrics=None, spans=None, cancellation=None, executor=None) -> RunResult:
     cfg = _hotpotato_cfg(smoke)
     ccfg = ConservativeConfig(
         end_time=cfg.duration, n_pes=4, sync="yawns", seed=BENCH_SEED,
@@ -159,25 +156,25 @@ def _cons_hotpotato(smoke: bool, metrics=None, spans=None, queue=None, cancellat
     return run_conservative(HotPotatoModel(cfg), ccfg, metrics=metrics, spans=spans)
 
 
-def _opt_phold(smoke: bool, metrics=None, spans=None, queue=None, cancellation=None, executor=None) -> RunResult:
+def _opt_phold(smoke: bool, metrics=None, spans=None, cancellation=None, executor=None) -> RunResult:
     cfg, end = _phold_cfg(smoke)
     ecfg = EngineConfig(
         end_time=end, n_pes=4, n_kps=16, batch_size=32, seed=BENCH_SEED,
-        **_engine_overrides(queue, cancellation, executor),
+        **_engine_overrides(cancellation, executor),
     )
     return run_optimistic(PholdModel(cfg), ecfg, metrics=metrics, spans=spans)
 
 
-def _opt_phold_stress(smoke: bool, metrics=None, spans=None, queue=None, cancellation=None, executor=None) -> RunResult:
+def _opt_phold_stress(smoke: bool, metrics=None, spans=None, cancellation=None, executor=None) -> RunResult:
     cfg, end = _phold_stress_cfg(smoke)
     ecfg = EngineConfig(
         end_time=end, n_pes=4, n_kps=16, batch_size=256, seed=BENCH_SEED,
-        **_engine_overrides(queue, cancellation, executor),
+        **_engine_overrides(cancellation, executor),
     )
     return run_optimistic(PholdModel(cfg), ecfg, metrics=metrics, spans=spans)
 
 
-def _opt_hotpotato(smoke: bool, metrics=None, spans=None, queue=None, cancellation=None, executor=None) -> RunResult:
+def _opt_hotpotato(smoke: bool, metrics=None, spans=None, cancellation=None, executor=None) -> RunResult:
     cfg = _hotpotato_cfg(smoke)
     ecfg = EngineConfig(
         end_time=cfg.duration,
@@ -185,12 +182,12 @@ def _opt_hotpotato(smoke: bool, metrics=None, spans=None, queue=None, cancellati
         n_kps=16,
         batch_size=64,
         seed=BENCH_SEED,
-        **_engine_overrides(queue, cancellation, executor),
+        **_engine_overrides(cancellation, executor),
     )
     return run_optimistic(HotPotatoModel(cfg), ecfg, metrics=metrics, spans=spans)
 
 
-def _opt_hotpotato_stress(smoke: bool, metrics=None, spans=None, queue=None, cancellation=None, executor=None) -> RunResult:
+def _opt_hotpotato_stress(smoke: bool, metrics=None, spans=None, cancellation=None, executor=None) -> RunResult:
     cfg = _hotpotato_cfg(smoke)
     ecfg = EngineConfig(
         end_time=cfg.duration,
@@ -198,12 +195,12 @@ def _opt_hotpotato_stress(smoke: bool, metrics=None, spans=None, queue=None, can
         n_kps=16,
         batch_size=512,
         seed=BENCH_SEED,
-        **_engine_overrides(queue, cancellation, executor),
+        **_engine_overrides(cancellation, executor),
     )
     return run_optimistic(HotPotatoModel(cfg), ecfg, metrics=metrics, spans=spans)
 
 
-def _opt_hotpotato_n128(smoke: bool, metrics=None, spans=None, queue=None, cancellation=None, executor=None) -> RunResult:
+def _opt_hotpotato_n128(smoke: bool, metrics=None, spans=None, cancellation=None, executor=None) -> RunResult:
     cfg = _hotpotato_n128_cfg(smoke)
     ecfg = EngineConfig(
         end_time=cfg.duration,
@@ -211,7 +208,7 @@ def _opt_hotpotato_n128(smoke: bool, metrics=None, spans=None, queue=None, cance
         n_kps=16,
         batch_size=64,
         seed=BENCH_SEED,
-        **_engine_overrides(queue, cancellation, executor),
+        **_engine_overrides(cancellation, executor),
     )
     return run_optimistic(HotPotatoModel(cfg), ecfg, metrics=metrics, spans=spans)
 
@@ -230,7 +227,7 @@ def _mp_hotpotato(procs: int):
     wave latency, not event processing).
     """
 
-    def run(smoke: bool, metrics=None, spans=None, queue=None, cancellation=None, executor=None) -> RunResult:
+    def run(smoke: bool, metrics=None, spans=None, cancellation=None, executor=None) -> RunResult:
         cfg = _hotpotato_n128_cfg(smoke)
         ecfg = EngineConfig(
             end_time=cfg.duration,
@@ -241,7 +238,7 @@ def _mp_hotpotato(procs: int):
             parallelism="process",
             procs=procs,
             gvt_interval=16,
-            **_engine_overrides(queue, cancellation, executor),
+            **_engine_overrides(cancellation, executor),
         )
         return run_optimistic(
             HotPotatoModel(cfg), ecfg, metrics=metrics, spans=spans

@@ -34,7 +34,7 @@ from dataclasses import fields as dataclass_fields
 
 from repro.core.event import Event, _next_serial
 from repro.errors import SnapshotError
-from repro.vt.time import TIME_HORIZON, EventKey
+from repro.vt.time import EventKey
 
 __all__ = ["capture_state", "restore_state"]
 
@@ -133,12 +133,6 @@ def _restore_pool(pool, snap) -> None:
 def _capture_gvt(manager):
     if manager.name == "synchronous":
         return ("synchronous", manager.last)
-    if manager.name == "incremental":
-        # Per-PE floors are NOT captured: the restore marks every PE
-        # dirty, so the first post-resume estimate re-peeks each queue
-        # exactly (the queues themselves are rebuilt from the snapshot).
-        return ("incremental", manager.last, manager.incremental_rounds,
-                manager.repeeks)
     return (
         "mattern",
         manager.epoch,
@@ -157,11 +151,6 @@ def _restore_gvt(manager, snap) -> None:
         )
     if snap[0] == "synchronous":
         manager.last = snap[1]
-        return
-    if snap[0] == "incremental":
-        _, manager.last, manager.incremental_rounds, manager.repeeks = snap
-        manager._floor[:] = [TIME_HORIZON] * manager.n_pes
-        manager._dirty[:] = [True] * manager.n_pes
         return
     _, epoch, sent, recv, min_ts, last = snap
     manager.epoch = epoch

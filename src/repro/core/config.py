@@ -9,6 +9,24 @@ from repro.errors import ConfigurationError
 
 __all__ = ["EngineConfig"]
 
+#: Accepted values of every named-choice knob, in the order validated.
+_CHOICES = {
+    "mapping": ("block", "striped", "random"),
+    "rollback": ("reverse", "copy"),
+    "transport": ("immediate", "mailbox"),
+    "gvt": ("synchronous", "mattern"),
+    "cancellation": ("aggressive", "lazy"),
+    "queue": ("heap",),
+    "executor": ("scalar", "vectorized"),
+    "parallelism": ("inline", "process"),
+}
+
+#: Knobs that once accepted more names, and why they no longer do.
+_REMOVED = {
+    "queue": "the ladder queue and splay tree were removed; neither beat the heap",
+    "gvt": "the incremental GVT manager was removed; it never beat synchronous",
+}
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -64,9 +82,9 @@ class EngineConfig:
         down when the measured rollback fraction spikes and restores when
         it subsides.  Deterministic, like everything else.
     queue:
-        Pending-event structure per PE: ``"heap"`` (binary heap),
-        ``"ladder"`` (ladder queue) or ``"splay"`` (ROSS's splay tree).
-        Identical ordering and results; a pure performance choice.
+        Pending-event structure per PE.  Only ``"heap"`` (binary heap)
+        exists; the field stays so configuration records name the
+        structure they ran under.
     executor:
         ``"scalar"`` — one event at a time through ``LogicalProcess.forward``
         (the oracle path).  ``"vectorized"`` — ask the model for its
@@ -136,32 +154,27 @@ class EngineConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.window is not None and self.window <= 0:
             raise ConfigurationError(f"window must be positive, got {self.window}")
-        if self.cancellation not in ("aggressive", "lazy"):
-            raise ConfigurationError(
-                f"cancellation must be 'aggressive' or 'lazy', "
-                f"got {self.cancellation!r}"
-            )
+        for knob, choices in _CHOICES.items():
+            value = getattr(self, knob)
+            if value not in choices:
+                removed = _REMOVED.get(knob)
+                raise ConfigurationError(
+                    f"{knob} must be one of {', '.join(map(repr, choices))}, "
+                    f"got {value!r}" + (f" ({removed})" if removed else "")
+                )
         if self.gvt_interval < 1:
             raise ConfigurationError(
                 f"gvt_interval must be >= 1, got {self.gvt_interval}"
             )
-        if self.queue not in ("heap", "ladder", "splay"):
-            raise ConfigurationError(
-                f"queue must be 'heap', 'ladder' or 'splay', got {self.queue!r}"
-            )
-        if self.executor not in ("scalar", "vectorized"):
-            raise ConfigurationError(
-                f"executor must be 'scalar' or 'vectorized', "
-                f"got {self.executor!r}"
-            )
-        if self.parallelism not in ("inline", "process"):
-            raise ConfigurationError(
-                f"parallelism must be 'inline' or 'process', "
-                f"got {self.parallelism!r}"
-            )
         if self.procs < 1:
             raise ConfigurationError(f"procs must be >= 1, got {self.procs}")
         if self.parallelism == "process":
+            if self.executor != "scalar":
+                raise ConfigurationError(
+                    "parallelism='process' with executor='vectorized' is not "
+                    "supported: the cross-process codec encodes scalar event "
+                    "payloads only; use executor='scalar' in process mode"
+                )
             if self.n_pes % self.procs:
                 raise ConfigurationError(
                     f"procs must divide n_pes in process mode "

@@ -38,7 +38,7 @@ from repro.core.executor import Executor
 from repro.core.invariants import check_conservative
 from repro.core.lp import LogicalProcess, Model
 from repro.core.mapping import build_mapping
-from repro.core.queue import make_pending_queue
+from repro.core.queue import PendingQueue
 from repro.core.result import RunResult
 from repro.core.stats import RunStats
 from repro.errors import ConfigurationError, SchedulingError
@@ -79,7 +79,6 @@ class ConservativeConfig:
     lookahead: float | None = None
     sync: str = "yawns"
     mapping: str = "block"
-    queue: str = "heap"
     executor: str = "scalar"
     pool: bool = True
     seed: int = 0x5EED
@@ -100,10 +99,6 @@ class ConservativeConfig:
             raise ConfigurationError(
                 f"sync must be 'yawns' or 'null', got {self.sync!r}"
             )
-        if self.queue not in ("heap", "ladder", "splay"):
-            raise ConfigurationError(
-                f"queue must be 'heap', 'ladder' or 'splay', got {self.queue!r}"
-            )
         if self.executor not in ("scalar", "vectorized"):
             raise ConfigurationError(
                 f"executor must be 'scalar' or 'vectorized', "
@@ -116,9 +111,9 @@ class _ConsPE:
 
     __slots__ = ("id", "pending", "in_clock", "out_clock", "processed", "lp_count", "busy")
 
-    def __init__(self, pe_id: int, n_pes: int, queue: str) -> None:
+    def __init__(self, pe_id: int, n_pes: int) -> None:
         self.id = pe_id
-        self.pending = make_pending_queue(queue)
+        self.pending = PendingQueue()
         #: Guarantee received from each peer: no message below this ts.
         self.in_clock = [0.0] * n_pes
         #: Guarantee last sent to each peer (to avoid redundant nulls).
@@ -174,7 +169,7 @@ class ConservativeKernel(Executor):
             seed=config.seed,
         )
         self.pes = [
-            _ConsPE(p, config.n_pes, config.queue) for p in range(config.n_pes)
+            _ConsPE(p, config.n_pes) for p in range(config.n_pes)
         ]
         self.pe_of_lp = [mapping.lp_to_pe(lp.id) for lp in self.lps]
         for lp in self.lps:

@@ -17,14 +17,8 @@ is instantaneous.  We implement both:
   Produces a valid *lower bound* that converges to the exact GVT once
   mailboxes drain.  Meaningful with the mailbox transport, where messages
   really are in flight when the estimate is taken.
-* :class:`IncrementalGVT` — the synchronous algorithm's *result* at
-  amortised bookkeeping cost: per-PE pending-queue minima are maintained
-  incrementally (lowered at message delivery and rollback-requeue time,
-  invalidated when the PE executes or cancels), so each estimate re-peeks
-  only the queues whose cached floor may have risen instead of scanning
-  every queue every Fujimoto round.
 
-All satisfy the safety property tested in the suite: the returned value
+Both satisfy the safety property tested in the suite: the returned value
 never exceeds the true minimum unprocessed timestamp.
 """
 
@@ -38,7 +32,7 @@ from repro.vt.time import TIME_HORIZON
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.optimistic import TimeWarpKernel
 
-__all__ = ["SynchronousGVT", "MatternGVT", "IncrementalGVT", "make_gvt_manager"]
+__all__ = ["SynchronousGVT", "MatternGVT", "make_gvt_manager"]
 
 
 class SynchronousGVT:
@@ -138,113 +132,9 @@ class MatternGVT:
         return m
 
 
-class IncrementalGVT:
-    """Per-PE minimum trackers maintained at send/commit time.
-
-    The synchronous estimator recomputes every PE's pending minimum at
-    every Fujimoto round — O(PEs) queue peeks whether or not anything
-    changed.  This manager keeps a cached *floor* per PE — a value
-    guaranteed not to exceed that PE's true pending minimum — and only
-    re-peeks queues whose floor may have risen since the last round:
-
-    * **deliveries lower the floor in O(1)** (``on_receive`` on the send
-      path, ``on_requeue`` when a rollback returns events to pending), so
-      a PE that only *received* work since the last round is never
-      scanned;
-    * **executions and cancellations raise the true minimum**, so they
-      mark the PE dirty (``note_executed`` once per active PE per round,
-      ``note_cancelled`` from the cancellation path) and the next
-      estimate re-peeks exactly those queues.
-
-    Safety: a clean PE's floor only ever moved *down* since it was last
-    exact, so it is always ≤ the true pending minimum; dirty PEs are
-    re-peeked exactly; in-flight mailbox messages are accounted via
-    ``min_in_flight_ts`` like the synchronous algorithm; and the estimate
-    is clamped monotone (true GVT never moves backwards, so the clamp
-    cannot overshoot it).  The paranoid invariant suite checks all of
-    this against a full scan.
-    """
-
-    name = "incremental"
-    #: The kernel must call on_receive per delivery (to lower floors) …
-    tracks_messages = True
-    #: … but on_send is a no-op, and the fused send path skips it.
-    needs_send_hook = False
-    #: Rollback requeues must call :meth:`on_requeue` (they bypass the
-    #: delivery path, yet can push below a re-peeked floor).
-    needs_requeue_hook = True
-
-    def __init__(self, n_pes: int) -> None:
-        self.n_pes = n_pes
-        #: Per-PE cached lower bound on the pending minimum.
-        self._floor = [TIME_HORIZON] * n_pes
-        #: Per-PE "floor may have risen" flag; set by executions and
-        #: cancellations, cleared by an exact re-peek.
-        self._dirty = [True] * n_pes
-        self.last = 0.0
-        #: Estimates this manager served (rides RunStats/metrics as
-        #: ``gvt_incremental_rounds``).
-        self.incremental_rounds = 0
-        #: Per-PE exact re-peeks performed, across all estimates; the
-        #: saved work versus the synchronous scan is
-        #: ``incremental_rounds * n_pes - repeeks``.
-        self.repeeks = 0
-
-    def on_send(self, src_pe: int, event: Event) -> None:
-        """Message hook (unused; deliveries do the accounting)."""
-        return None
-
-    def on_receive(self, dst_pe: int, event: Event) -> None:
-        """Delivery lowers the destination PE's floor in O(1)."""
-        ts = event.entry[0]
-        if ts < self._floor[dst_pe]:
-            self._floor[dst_pe] = ts
-
-    def on_requeue(self, dst_pe: int, ts: float) -> None:
-        """A rollback returned an event to pending: lower the floor."""
-        if ts < self._floor[dst_pe]:
-            self._floor[dst_pe] = ts
-
-    def note_executed(self, pe_id: int) -> None:
-        """The PE popped events this round: its floor may have risen."""
-        self._dirty[pe_id] = True
-
-    def note_cancelled(self, pe_id: int) -> None:
-        """A pending event died: the floor may have risen (and, if the PE
-        then goes idle forever, a stale-low floor would stall GVT — the
-        dirty mark guarantees one exact re-peek)."""
-        self._dirty[pe_id] = True
-
-    def estimate(self, kernel: "TimeWarpKernel") -> float:
-        """Re-peek dirty PEs only; clean floors stand in for the rest."""
-        self.incremental_rounds += 1
-        floor = self._floor
-        dirty = self._dirty
-        repeeks = 0
-        m = kernel.transport.min_in_flight_ts()
-        for pe in kernel.pes:
-            i = pe.id
-            if dirty[i]:
-                key = pe.pending.peek_key()
-                floor[i] = key.ts if key is not None else TIME_HORIZON
-                dirty[i] = False
-                repeeks += 1
-            f = floor[i]
-            if f < m:
-                m = f
-        self.repeeks += repeeks
-        # GVT is monotone; a floor lowered by a since-cancelled event (and
-        # not yet re-peeked) must not drag the estimate backwards.
-        if m < self.last:
-            m = self.last
-        self.last = m
-        return m
-
-
 _MANAGERS = {
     SynchronousGVT.name: SynchronousGVT,
     MatternGVT.name: MatternGVT,
-    IncrementalGVT.name: IncrementalGVT,
 }
 
 

@@ -47,7 +47,7 @@ __all__ = ["TimeWarpKernel", "run_optimistic"]
 _tuple_new = tuple.__new__
 
 
-def _compile_send(kernel: "TimeWarpKernel", lp, use_heap: bool):
+def _compile_send(kernel: "TimeWarpKernel", lp):
     """Build the fused per-LP send fast path.
 
     This is ``LogicalProcess._kernel_send`` + ``EventPool.acquire`` +
@@ -74,8 +74,8 @@ def _compile_send(kernel: "TimeWarpKernel", lp, use_heap: bool):
     pool = kernel.pool
     pool_free = pool._free if pool is not None else ()
     gvt = kernel.gvt_manager
-    on_send = gvt.on_send if kernel._gvt_send_hook else None
-    on_receive = gvt.on_receive if kernel._gvt_recv_hook else None
+    on_send = gvt.on_send if kernel._gvt_hooks else None
+    on_receive = gvt.on_receive if kernel._gvt_hooks else None
     kp_of_lp = kernel._kp_of_lp
     pe_by_lp = kernel._pe_by_lp
     pending_by_lp = [pe.pending for pe in pe_by_lp]
@@ -130,14 +130,11 @@ def _compile_send(kernel: "TimeWarpKernel", lp, use_heap: bool):
                 on_send(src_pe, ev)
             if on_receive is not None:
                 on_receive(dst_pe, ev)
+            # Inlined PendingQueue.push.
             q = pending_by_lp[dst]
-            if use_heap:
-                # Inlined PendingQueue.push.
-                heappush(q._heap, entry)
-                ev.in_pending = True
-                q._live += 1
-            else:
-                q.push(ev)
+            heappush(q._heap, entry)
+            ev.in_pending = True
+            q._live += 1
             processed = processed_by_lp[dst]
             if processed and processed[-1].key > key:
                 straggler(pe_by_lp[dst], kp_of_lp[dst], ev)
@@ -206,14 +203,11 @@ def _compile_send(kernel: "TimeWarpKernel", lp, use_heap: bool):
             on_send(src_pe, ev)
         if on_receive is not None:
             on_receive(dst_pe, ev)
+        # Inlined PendingQueue.push.
         q = pending_by_lp[dst]
-        if use_heap:
-            # Inlined PendingQueue.push.
-            heappush(q._heap, entry)
-            ev.in_pending = True
-            q._live += 1
-        else:
-            q.push(ev)
+        heappush(q._heap, entry)
+        ev.in_pending = True
+        q._live += 1
         processed = processed_by_lp[dst]
         if processed and processed[-1].key > key:
             straggler(pe_by_lp[dst], kp_of_lp[dst], ev)
@@ -309,7 +303,7 @@ def _compile_execute(kernel: "TimeWarpKernel"):
     return fast_execute_lazy
 
 
-def _compile_batch(kernel: "TimeWarpKernel", pe, use_heap: bool):
+def _compile_batch(kernel: "TimeWarpKernel", pe):
     """Build the fused per-PE batch loop.
 
     ``ProcessingElement.process_batch`` + ``PendingQueue.pop_below`` +
@@ -329,108 +323,73 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, use_heap: bool):
     snapshot_before = kernel._snapshot_before
     processed_append_by_lp = [kp.processed.append for kp in kernel._kp_of_lp]
     pending = pe.pending
-    heap = pending._heap if use_heap else None
-    pop_below = pending.pop_below
+    heap = pending._heap
     stats = pe.stats
     event_cost = pe.event_cost
     batch = kernel._antimsg_batch
     flush = kernel._flush_antimsgs
 
     if not kernel.lazy:
-        if use_heap:
-
-            def fast_batch(max_events, limit_ts):
-                # ``_live`` and ``stats.processed`` are settled once per
-                # batch in the ``finally`` below: both are plain counters
-                # that nothing reads mid-batch (the run loop, GVT, fossil
-                # collection and telemetry all run between batches), and
-                # re-entrant sends/rollbacks only ever ``+=``/``-=`` them,
-                # which commutes with the deferred decrement.  The float
-                # busy charges stay per-event: rollback charges interleave
-                # with them and the accumulation order is part of the
-                # fused-vs-generic bit-identity contract.
-                done = 0
-                try:
-                    while done < max_events:
-                        # --- inlined PendingQueue.pop_below -----------
-                        while True:
-                            if not heap:
-                                return done
-                            entry = heap[0]
-                            ev = entry[4]
-                            if ev.cancelled:
-                                heappop(heap)
-                                ev.in_pending = False
-                                continue
-                            if entry[0] >= limit_ts:
-                                return done
-                            heappop(heap)
-                            ev.in_pending = False
-                            break
-                        # --- inlined fused execute body ---------------
-                        dst = ev.dst
-                        lp = lps[dst]
-                        ev.sent.clear()
-                        ev.prev_send_seq = lp.send_seq
-                        if snapshot_before is not None:
-                            ev.snapshot = None
-                            snapshot_before(lp, ev)
-                        # (Under reverse computation ``ev.snapshot`` is
-                        # already None — nothing on that strategy's path
-                        # ever sets it — so the per-event clear is
-                        # elided.)
-                        rng = lp.rng
-                        rng_before = rng._count
-                        lp._now = ev.entry[0]
-                        kernel._current_event = ev
-                        try:
-                            lp.forward(ev)
-                        finally:
-                            kernel._current_event = None
-                        ev.rng_draws = rng._count - rng_before
-                        ev.processed = True
-                        processed_append_by_lp[dst](ev)
-                        stats.busy += event_cost
-                        stats.round_busy += event_cost
-                        done += 1
-                    return done
-                finally:
-                    if done:
-                        pending._live -= done
-                        stats.processed += done
-
-            return fast_batch
 
         def fast_batch(max_events, limit_ts):
+            # ``_live`` and ``stats.processed`` are settled once per
+            # batch in the ``finally`` below: both are plain counters
+            # that nothing reads mid-batch (the run loop, GVT, fossil
+            # collection and telemetry all run between batches), and
+            # re-entrant sends/rollbacks only ever ``+=``/``-=`` them,
+            # which commutes with the deferred decrement.  The float
+            # busy charges stay per-event: rollback charges interleave
+            # with them and the accumulation order is part of the
+            # fused-vs-generic bit-identity contract.
             done = 0
-            while done < max_events:
-                ev = pop_below(limit_ts)
-                if ev is None:
-                    return done
-                # --- inlined fused execute body -----------------------
-                dst = ev.dst
-                lp = lps[dst]
-                ev.sent.clear()
-                ev.prev_send_seq = lp.send_seq
-                if snapshot_before is not None:
-                    ev.snapshot = None
-                    snapshot_before(lp, ev)
-                rng = lp.rng
-                rng_before = rng._count
-                lp._now = ev.entry[0]
-                kernel._current_event = ev
-                try:
-                    lp.forward(ev)
-                finally:
-                    kernel._current_event = None
-                ev.rng_draws = rng._count - rng_before
-                ev.processed = True
-                processed_append_by_lp[dst](ev)
-                stats.processed += 1
-                stats.busy += event_cost
-                stats.round_busy += event_cost
-                done += 1
-            return done
+            try:
+                while done < max_events:
+                    # --- inlined PendingQueue.pop_below ---------------
+                    while True:
+                        if not heap:
+                            return done
+                        entry = heap[0]
+                        ev = entry[4]
+                        if ev.cancelled:
+                            heappop(heap)
+                            ev.in_pending = False
+                            continue
+                        if entry[0] >= limit_ts:
+                            return done
+                        heappop(heap)
+                        ev.in_pending = False
+                        break
+                    # --- inlined fused execute body -------------------
+                    dst = ev.dst
+                    lp = lps[dst]
+                    ev.sent.clear()
+                    ev.prev_send_seq = lp.send_seq
+                    if snapshot_before is not None:
+                        ev.snapshot = None
+                        snapshot_before(lp, ev)
+                    # (Under reverse computation ``ev.snapshot`` is
+                    # already None — nothing on that strategy's path
+                    # ever sets it — so the per-event clear is
+                    # elided.)
+                    rng = lp.rng
+                    rng_before = rng._count
+                    lp._now = ev.entry[0]
+                    kernel._current_event = ev
+                    try:
+                        lp.forward(ev)
+                    finally:
+                        kernel._current_event = None
+                    ev.rng_draws = rng._count - rng_before
+                    ev.processed = True
+                    processed_append_by_lp[dst](ev)
+                    stats.busy += event_cost
+                    stats.round_busy += event_cost
+                    done += 1
+                return done
+            finally:
+                if done:
+                    pending._live -= done
+                    stats.processed += done
 
         return fast_batch
 
@@ -438,26 +397,21 @@ def _compile_batch(kernel: "TimeWarpKernel", pe, use_heap: bool):
         done = 0
         while done < max_events:
             # --- inlined PendingQueue.pop_below -----------------------
-            if use_heap:
-                while True:
-                    if not heap:
-                        return done
-                    entry = heap[0]
-                    ev = entry[4]
-                    if ev.cancelled:
-                        heappop(heap)
-                        ev.in_pending = False
-                        continue
-                    if entry[0] >= limit_ts:
-                        return done
+            while True:
+                if not heap:
+                    return done
+                entry = heap[0]
+                ev = entry[4]
+                if ev.cancelled:
                     heappop(heap)
                     ev.in_pending = False
-                    pending._live -= 1
-                    break
-            else:
-                ev = pop_below(limit_ts)
-                if ev is None:
+                    continue
+                if entry[0] >= limit_ts:
                     return done
+                heappop(heap)
+                ev.in_pending = False
+                pending._live -= 1
+                break
             # --- inlined fused execute body ---------------------------
             dst = ev.dst
             lp = lps[dst]
@@ -532,7 +486,7 @@ class TimeWarpKernel(Executor):
             KernelProcess(k, self.mapping.kp_to_pe[k]) for k in range(config.n_kps)
         ]
         self.pes = [
-            ProcessingElement(p, config.queue) for p in range(config.n_pes)
+            ProcessingElement(p) for p in range(config.n_pes)
         ]
         for kp in self.kps:
             self.pes[kp.pe_id].kp_ids.append(kp.id)
@@ -549,39 +503,18 @@ class TimeWarpKernel(Executor):
         self.strategy = make_strategy(config.rollback)
         self.transport = make_transport(config.transport, self._receive, config.n_pes)
         self.gvt_manager = make_gvt_manager(config.gvt, config.n_pes)
-        incremental_gvt = getattr(self.gvt_manager, "needs_requeue_hook", False)
-        if not incremental_gvt:
-            # Messages annihilated in transit still count as "arrived" for
-            # GVT message accounting (Mattern epoch balance).  The
-            # incremental manager must NOT see them: floors may only be
-            # lowered by live work, or a dead event could pin GVT forever.
-            self.transport.on_drop = lambda ev: self.gvt_manager.on_receive(
-                self.pe_of_lp[ev.dst], ev
-            )
+        # Messages annihilated in transit still count as "arrived" for GVT
+        # message accounting (Mattern epoch balance).
+        self.transport.on_drop = lambda ev: self.gvt_manager.on_receive(
+            self.pe_of_lp[ev.dst], ev
+        )
 
         # --- Hot-path capability flags & event pool --------------------------
         #: Event recycling free list (None when cfg.pool is off).
         self._alloc = self._init_pool(config.pool)
         #: Managers whose send/receive hooks are no-ops (the synchronous
         #: barrier algorithm) skip the two per-message calls entirely.
-        self._gvt_hooks = getattr(self.gvt_manager, "tracks_messages", True)
-        #: Finer-grained hook flags: the incremental manager needs the
-        #: receive hook (floors drop at delivery) but not the send hook.
-        self._gvt_send_hook = self._gvt_hooks and getattr(
-            self.gvt_manager, "needs_send_hook", True
-        )
-        self._gvt_recv_hook = self._gvt_hooks
-        #: Incremental-GVT bookkeeping callbacks (None for the others, so
-        #: the rollback/cancel/round paths stay hook-free by default).
-        self._gvt_requeue = (
-            self.gvt_manager.on_requeue if incremental_gvt else None
-        )
-        self._gvt_note_cancel = (
-            self.gvt_manager.note_cancelled if incremental_gvt else None
-        )
-        self._gvt_note_exec = (
-            self.gvt_manager.note_executed if incremental_gvt else None
-        )
+        self._gvt_hooks = self.gvt_manager.tracks_messages
         #: The immediate transport is a plain function indirection; _emit
         #: inlines its delivery when this is set.
         self._direct = getattr(self.transport, "name", "") == "immediate"
@@ -733,7 +666,7 @@ class TimeWarpKernel(Executor):
             units = self._cost_remote
         stats.busy += units
         stats.round_busy += units
-        if self._gvt_send_hook:
+        if self._gvt_hooks:
             self.gvt_manager.on_send(src_pe, ev)
         if not self._direct:
             self.transport.deliver(ev, src_pe, dst_pe)
@@ -741,7 +674,7 @@ class TimeWarpKernel(Executor):
         # Immediate transport: the inlined body of _receive.
         kp = self._kp_of_lp[dst]
         pe = self._pe_by_lp[dst]
-        if self._gvt_recv_hook:
+        if self._gvt_hooks:
             self.gvt_manager.on_receive(pe.id, ev)
         pe.pending.push(ev)
         processed = kp.processed
@@ -837,14 +770,7 @@ class TimeWarpKernel(Executor):
             ev.sent.clear()
         self.strategy.undo(lp, ev)
         ev.processed = False
-        pe_id = self.pe_of_lp[ev.dst]
-        self.pes[pe_id].pending.push(ev)
-        requeue = self._gvt_requeue
-        if requeue is not None:
-            # The incremental GVT manager must see the requeue: it can
-            # land below a floor that was re-peeked after this event was
-            # first popped.
-            requeue(pe_id, ev.entry[0])
+        self.pes[self.pe_of_lp[ev.dst]].pending.push(ev)
         if self.tracer is not None:
             self.tracer.on_undo(ev)
 
@@ -863,13 +789,7 @@ class TimeWarpKernel(Executor):
         """Mark an unprocessed event dead and reap its parked children."""
         ev.cancelled = True
         if ev.in_pending:
-            pe_id = self.pe_of_lp[ev.dst]
-            self.pes[pe_id].pending.note_cancelled()
-            note_cancel = self._gvt_note_cancel
-            if note_cancel is not None:
-                # The dead event may be the one holding the incremental
-                # floor down; force an exact re-peek of this PE.
-                note_cancel(pe_id)
+            self.pes[self.pe_of_lp[ev.dst]].pending.note_cancelled()
         if ev.lazy_sent:
             # The event will never re-execute, so its kept messages from
             # the undone execution can no longer be claimed: cancel them.
@@ -1033,9 +953,6 @@ class TimeWarpKernel(Executor):
             pool_hit_rate=hit_rate,
             lazy_hits=self.lazy_reused,
             antimsg_batches=self.antimsg_batches,
-            gvt_incremental_rounds=getattr(
-                self.gvt_manager, "incremental_rounds", 0
-            ),
             soa_batches=self.soa_batches,
             soa_lps_stepped=self.soa_lps_stepped,
             kp_rolled_back=[kp.stats.events_rolled_back for kp in kps],
@@ -1043,7 +960,7 @@ class TimeWarpKernel(Executor):
 
     def fossil_collect(self, gvt_ts: float) -> int:
         """Commit and free everything below ``gvt_ts`` across all KPs."""
-        # ``_live`` is PendingQueue/LadderQueue.__len__ without the
+        # ``_live`` is PendingQueue.__len__ without the
         # dispatch; this runs every GVT boundary (default: every round).
         pending_now = 0
         for pe in self.pes:
@@ -1079,9 +996,8 @@ class TimeWarpKernel(Executor):
                     "_emit/_receive, which the fused band batch bypasses"
                 )
             return
-        use_heap = self.cfg.queue == "heap"
         for lp in self.lps:
-            lp.send = _compile_send(self, lp, use_heap)
+            lp.send = _compile_send(self, lp)
         if self.tracer is not None and self.vec_plan is not None:
             if not self.soa_decline:
                 self.soa_decline = (
@@ -1103,7 +1019,7 @@ class TimeWarpKernel(Executor):
                 # the plan's compiled batch is bit-identical to the scalar
                 # one by construction (the conformance suite checks).
                 self._batch_by_pe = [
-                    plan.compile_batch(self, pe, use_heap) for pe in self.pes
+                    plan.compile_batch(self, pe) for pe in self.pes
                 ]
             else:
                 if plan is not None and not self.soa_decline:
@@ -1113,7 +1029,7 @@ class TimeWarpKernel(Executor):
                         "with aggressive cancellation)"
                     )
                 self._batch_by_pe = [
-                    _compile_batch(self, pe, use_heap) for pe in self.pes
+                    _compile_batch(self, pe) for pe in self.pes
                 ]
 
     def run(self) -> RunResult:
@@ -1134,7 +1050,6 @@ class TimeWarpKernel(Executor):
         stats_by_pe = self._stats_by_pe
         sched_per_round = self.cost.sched_per_round
         rounds = 0
-        note_exec = self._gvt_note_exec
         gvt_overhead = max(
             self.cost.gvt_overhead(pe.lp_count, len(pe.kp_ids)) for pe in pes
         )
@@ -1196,11 +1111,6 @@ class TimeWarpKernel(Executor):
                         spans.record("exec", t0, clock(), pe=pe.id, n=done)
                 if done:
                     any_work = True
-                    if note_exec is not None:
-                        # Incremental GVT: this PE popped events, so its
-                        # cached floor may have risen — re-peek it at the
-                        # next estimate.
-                        note_exec(pe.id)
             rounds += 1
             round_max = 0.0
             for st in stats_by_pe:
@@ -1309,9 +1219,6 @@ class TimeWarpKernel(Executor):
         stats.cancelled_via_rollback = self.cancelled_via_rollback
         stats.lazy_reused = self.lazy_reused
         stats.antimsg_batches = self.antimsg_batches
-        stats.gvt_incremental_rounds = getattr(
-            self.gvt_manager, "incremental_rounds", 0
-        )
         stats.soa_batches = self.soa_batches
         stats.soa_lps_stepped = self.soa_lps_stepped
         if self.throttle is not None:

@@ -104,13 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="global seed (default 0x5EED, or the scenario's seed)",
     )
     parser.add_argument(
-        "--queue",
-        choices=("heap", "ladder", "splay"),
-        default="heap",
-        help="pending-queue implementation for the optimistic engine "
-        "(ignored with --processors 1; results are identical either way)",
-    )
-    parser.add_argument(
         "--executor",
         choices=("scalar", "vectorized"),
         default="scalar",
@@ -263,7 +256,6 @@ def _config_marker(args, seed: int, scenario_meta: dict) -> dict:
         "batch": args.batch,
         "gvt_interval": args.gvt_interval,
         "procs": args.procs,
-        "queue": args.queue,
         "cancellation": args.cancellation,
         "executor": args.executor,
         "seed": seed,
@@ -434,7 +426,6 @@ def main(argv: list[str] | None = None) -> int:
                     checkpointer=ckpt,
                     health=watchdog,
                     paranoid=args.paranoid,
-                    queue=args.queue,
                     cancellation=args.cancellation,
                     executor=args.executor,
                     **mp_overrides,
@@ -513,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         other = (
             sim.run_parallel(
                 n_pes=4, n_kps=args.kps, batch_size=args.batch,
-                queue=args.queue, cancellation=args.cancellation,
+                cancellation=args.cancellation,
                 executor=args.executor,
             )
             if args.processors <= 1

@@ -165,7 +165,7 @@ def _replay_commits(tracer, parts) -> None:
 _SAMPLE_SUM_FIELDS = (
     "committed", "processed", "rolled_back", "rollbacks", "stragglers",
     "fossil_collected", "pending", "processed_depth", "lazy_hits",
-    "antimsg_batches", "gvt_incremental_rounds", "soa_batches",
+    "antimsg_batches", "soa_batches",
     "soa_lps_stepped",
 )
 
@@ -411,14 +411,15 @@ def run_multiprocess(
         for shm in segments:
             destroy_segment(shm)
 
+    # A failing worker stops the run before its siblings report, so look
+    # for its own traceback before complaining about missing results.
+    failed = sorted(i for i, part in results.items() if "error" in part)
+    if failed:
+        i = failed[0]
+        raise ConfigurationError(f"worker {i} failed:\n{results[i]['error']}")
     for i in range(procs):
-        part = results.get(i)
-        if part is None:
+        if i not in results:
             raise ConfigurationError(f"worker {i} produced no result")
-        if "error" in part:
-            raise ConfigurationError(
-                f"worker {i} failed:\n{part['error']}"
-            )
     aborts = [p["health_abort"] for p in results.values() if "health_abort" in p]
     if aborts:
         # Same exception type and message as the worker's watchdog raised.

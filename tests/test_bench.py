@@ -79,8 +79,8 @@ def test_upgrade_rejects_future_schema():
 # ----------------------------------------------------------------------
 def test_run_suite_records_schema2_fields():
     res = run_suite(BY_NAME["opt-phold"], repeats=2, smoke=True,
-                    queue="ladder", cancellation="lazy")
-    assert res.queue_impl == "ladder"
+                    cancellation="lazy")
+    assert res.queue_impl == "heap"
     assert res.cancellation == "lazy"
     assert res.committed == SMOKE_GOLDEN["opt-phold"]
     assert res.best_seconds <= res.p50_seconds <= res.p95_seconds
@@ -89,7 +89,7 @@ def test_run_suite_records_schema2_fields():
 
 def test_run_suite_non_optimistic_marks_na():
     res = run_suite(BY_NAME["seq-phold"], repeats=1, smoke=True,
-                    queue="ladder", cancellation="lazy")
+                    cancellation="lazy")
     assert res.queue_impl == "n/a"
     assert res.cancellation == "n/a"
 
@@ -98,12 +98,11 @@ def test_run_suite_non_optimistic_marks_na():
 def test_stress_suites_commit_identically_across_modes(name):
     suite = BY_NAME[name]
     counts = {
-        (q, c): suite.run(True, queue=q, cancellation=c).run.committed
-        for q in ("heap", "ladder")
+        c: suite.run(True, cancellation=c).run.committed
         for c in ("aggressive", "lazy")
     }
     assert len(set(counts.values())) == 1, counts
-    assert counts[("heap", "aggressive")] == SMOKE_GOLDEN[name]
+    assert counts["aggressive"] == SMOKE_GOLDEN[name]
 
 
 def test_stress_suites_roll_back_heavily():

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.event import Event, EventPool
 from repro.core.queue import PendingQueue
-from repro.core.splay import SplayPendingQueue
 from repro.vt.time import EventKey
 
 
@@ -21,7 +20,7 @@ def ev(ts, origin=0, seq=0):
     return Event(EventKey(ts, origin, seq), 0, "k")
 
 
-QUEUES = [PendingQueue, SplayPendingQueue]
+QUEUES = [PendingQueue]
 
 
 @pytest.mark.parametrize("queue_cls", QUEUES)
