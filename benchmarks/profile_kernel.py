@@ -20,7 +20,10 @@ Historical findings captured as comments where they drove code decisions:
 * `heapq` beat the pure-Python splay tree and ladder queue on CPython at
   every pending-set size measured (up to ~20k events), so the binary heap
   is the only pending-queue structure;
-* `dict` payloads beat dataclass payloads for the ROUTE/ARRIVE hop loop.
+* packets travel as plain tuples (one positional payload format on every
+  engine and across the process-mode rings), and router state lives in
+  arrays shared across the population, which the fused band stepper
+  reads directly.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ def main() -> None:
         "--executor",
         default="scalar",
         choices=("scalar", "vectorized"),
-        help="LP stepping mode (vectorized = struct-of-arrays band runs)",
+        help="LP stepping mode (vectorized = fused band batches on the "
+        "optimistic engine; the conservative engine has no fused stepper)",
     )
     parser.add_argument(
         "--dump",
@@ -106,8 +110,7 @@ def main() -> None:
         )
     elif args.engine == "conservative":
         ccfg = ConservativeConfig(
-            end_time=cfg.duration, n_pes=4, sync="yawns", seed=args.seed,
-            executor=args.executor,
+            end_time=cfg.duration, n_pes=4, sync="yawns", seed=args.seed
         )
         result = run_conservative(
             model, ccfg, metrics=capture.metrics, spans=capture.spans,

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.bench.suites import SUITES, Suite
-from repro.core.config import EngineConfig
-from repro.errors import ConfigurationError
 
 __all__ = [
     "BenchResult",
@@ -207,22 +205,6 @@ def run_suite(
     )
 
 
-def _refusal(suite: Suite, executor: str | None) -> str | None:
-    """Why ``suite`` cannot run under ``executor``, or None when it can.
-
-    Process mode refuses the vectorized executor up front (see
-    :class:`~repro.core.config.EngineConfig`); the process-mode suites
-    are skipped with that reason rather than run.
-    """
-    if suite.engine != "multiprocess" or executor is None:
-        return None
-    try:
-        EngineConfig(end_time=1.0, parallelism="process", executor=executor)
-    except ConfigurationError as exc:
-        return str(exc)
-    return None
-
-
 def run_suites(
     repeats: int = 3,
     smoke: bool = False,
@@ -243,10 +225,6 @@ def run_suites(
             )
     results = []
     for suite in selected:
-        refused = _refusal(suite, executor)
-        if refused is not None:
-            report(f"  {suite.name:<16} refused: {refused}")
-            continue
         res = run_suite(
             suite, repeats=repeats, smoke=smoke, telemetry_dir=telemetry_dir,
             cancellation=cancellation, executor=executor,

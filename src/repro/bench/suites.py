@@ -10,7 +10,7 @@ cross-engine determinism check rather than for throughput numbers.
 The optimistic suites additionally accept a ``cancellation`` override
 (the CLI's ``--cancellation``), so the same pinned workloads can be
 measured under lazy cancellation; every suite accepts an ``executor``
-override selecting the scalar or vectorized (struct-of-arrays) LP
+override selecting the scalar or vectorized (fused band batch) LP
 stepping mode.  The committed counts must not change with either knob —
 the smoke goldens in :mod:`repro.bench.__main__` enforce that.
 
@@ -54,7 +54,8 @@ class Suite:
     repeats measure the exact detached configuration.  ``cancellation``
     selects the cancellation mode on the optimistic engine (the other
     engines accept and ignore it); ``executor`` selects scalar vs
-    vectorized LP stepping on every engine.
+    vectorized LP stepping (the conservative engine has no fused stepper
+    and ignores it).
     """
 
     name: str
@@ -140,18 +141,14 @@ def _seq_hotpotato(smoke: bool, metrics=None, spans=None, cancellation=None, exe
 
 def _cons_phold(smoke: bool, metrics=None, spans=None, cancellation=None, executor=None) -> RunResult:
     cfg, end = _phold_cfg(smoke)
-    ccfg = ConservativeConfig(
-        end_time=end, n_pes=4, sync="yawns", seed=BENCH_SEED,
-        executor=executor or "scalar",
-    )
+    ccfg = ConservativeConfig(end_time=end, n_pes=4, sync="yawns", seed=BENCH_SEED)
     return run_conservative(PholdModel(cfg), ccfg, metrics=metrics, spans=spans)
 
 
 def _cons_hotpotato(smoke: bool, metrics=None, spans=None, cancellation=None, executor=None) -> RunResult:
     cfg = _hotpotato_cfg(smoke)
     ccfg = ConservativeConfig(
-        end_time=cfg.duration, n_pes=4, sync="yawns", seed=BENCH_SEED,
-        executor=executor or "scalar",
+        end_time=cfg.duration, n_pes=4, sync="yawns", seed=BENCH_SEED
     )
     return run_conservative(HotPotatoModel(cfg), ccfg, metrics=metrics, spans=spans)
 

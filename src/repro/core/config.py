@@ -87,11 +87,12 @@ class EngineConfig:
         structure they ran under.
     executor:
         ``"scalar"`` — one event at a time through ``LogicalProcess.forward``
-        (the oracle path).  ``"vectorized"`` — ask the model for its
-        struct-of-arrays LP build (:meth:`~repro.core.lp.Model.build_vectorized`)
-        and, where the engine supports it, step same-timestamp-band event
-        runs through fused per-kind loops.  Models without an SoA build
-        fall back to scalar silently; results are bit-identical either
+        (the oracle path).  ``"vectorized"`` — also ask the model for a
+        fused band plan over the same population
+        (:meth:`~repro.core.lp.Model.vector_plan`) and, where the kernel
+        configuration allows it, step same-timestamp-band event runs
+        through fused per-kind loops.  Where the model or the kernel
+        declines, RunStats records why; results are bit-identical either
         way (the executor-ABI conformance suite asserts this).
     pool:
         Recycle fossil-collected events through a per-kernel free list
@@ -169,12 +170,6 @@ class EngineConfig:
         if self.procs < 1:
             raise ConfigurationError(f"procs must be >= 1, got {self.procs}")
         if self.parallelism == "process":
-            if self.executor != "scalar":
-                raise ConfigurationError(
-                    "parallelism='process' with executor='vectorized' is not "
-                    "supported: the cross-process codec encodes scalar event "
-                    "payloads only; use executor='scalar' in process mode"
-                )
             if self.n_pes % self.procs:
                 raise ConfigurationError(
                     f"procs must divide n_pes in process mode "

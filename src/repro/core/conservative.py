@@ -79,7 +79,6 @@ class ConservativeConfig:
     lookahead: float | None = None
     sync: str = "yawns"
     mapping: str = "block"
-    executor: str = "scalar"
     pool: bool = True
     seed: int = 0x5EED
     null_ratio_limit: float = 100.0
@@ -98,11 +97,6 @@ class ConservativeConfig:
         if self.sync not in ("yawns", "null"):
             raise ConfigurationError(
                 f"sync must be 'yawns' or 'null', got {self.sync!r}"
-            )
-        if self.executor not in ("scalar", "vectorized"):
-            raise ConfigurationError(
-                f"executor must be 'scalar' or 'vectorized', "
-                f"got {self.executor!r}"
             )
 
 
@@ -155,10 +149,9 @@ class ConservativeKernel(Executor):
             )
         self.lookahead = float(lookahead)
 
-        # The population (SoA LPs execute through the same conservative
-        # loop as scalar ones — there are no fused batches here, so the
-        # executor choice can't change what this engine observes).
-        self._init_population(model, config.executor)
+        # The population (this engine has no fused stepper, so it never
+        # asks the model for a vector plan).
+        self._init_population(model)
         n_lps = len(self.lps)
         mapping = build_mapping(
             n_lps,

@@ -53,10 +53,12 @@ class SequentialEngine(Executor):
         self.seed = seed
         self.paranoid = paranoid
         self.cost = cost if cost is not None else CostModel()
-        # The population (scalar or SoA — the sequential engine runs both
-        # through the same strict-key-order loop, so an SoA build changes
-        # nothing observable here).
-        self._init_population(model, executor)
+        # The population.  This engine steps one event at a time in
+        # strict key order and has no fused stepper, so it never asks the
+        # model for a vector plan; ``executor`` only records why.
+        self._init_population(model)
+        if executor == "vectorized":
+            self.soa_decline = "the sequential engine has no fused stepper"
         self.pending = PendingQueue()
         self.sends = 0
         #: Optional event tracer (see repro.core.trace); in a sequential

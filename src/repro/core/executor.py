@@ -24,16 +24,16 @@ a small uniform interface every engine implements:
     Execute to the end barrier and return a
     :class:`~repro.core.result.RunResult`.
 
-The base class also owns the **executor mode** resolution: with
-``executor="vectorized"`` the population is built through the model's
-:meth:`~repro.core.lp.Model.build_vectorized` hook, which returns the LPs
-plus a *vector plan* — an object describing how same-timestamp-band event
-runs may be stepped through fused struct-of-arrays loops (see
-:mod:`repro.hotpotato.soa` for the hot-potato plan).  Models without an
-SoA build fall back to the scalar :meth:`~repro.core.lp.Model.build`
-silently; either way the populations are observably identical, so the
-executor choice can never change results (the conformance suite in
-``tests/test_executor_abi.py`` asserts this).
+The base class also resolves the **executor mode**.  Every mode runs the
+one population :meth:`~repro.core.lp.Model.build` returns; with
+``executor="vectorized"`` the engine additionally asks the model for a
+*vector plan* over that population
+(:meth:`~repro.core.lp.Model.vector_plan`) — an object describing how
+same-timestamp-band event runs may be stepped through fused loops (see
+:mod:`repro.hotpotato.soa` for the hot-potato plan).  Only the Time Warp
+kernel consumes a plan, and a plan is observably identical to scalar
+stepping, so the executor choice can never change results (the
+conformance suite in ``tests/test_executor_abi.py`` asserts this).
 """
 
 from __future__ import annotations
@@ -45,20 +45,7 @@ from repro.core.lp import LogicalProcess, Model
 from repro.errors import ConfigurationError
 from repro.rng.streams import ReversibleStream, derive_seed
 
-__all__ = ["Executor", "resolve_build"]
-
-
-def resolve_build(model: Model, executor: str):
-    """Build the LP population for the requested executor mode.
-
-    Returns ``(lps, plan)``; ``plan`` is ``None`` for the scalar build or
-    when the model declines to vectorize.
-    """
-    if executor == "vectorized":
-        built = model.build_vectorized()
-        if built is not None:
-            return built
-    return model.build(), None
+__all__ = ["Executor"]
 
 
 class Executor:
@@ -80,7 +67,7 @@ class Executor:
     model: Model
     lps: list[LogicalProcess]
     pool: EventPool | None
-    #: Vector plan from ``model.build_vectorized()`` (None on the scalar
+    #: Vector plan from ``model.vector_plan()`` (None on the scalar
     #: path); engines that support fused stepping consult it.
     vec_plan: Any
 
@@ -88,9 +75,9 @@ class Executor:
     # Shared construction helpers.
     # ------------------------------------------------------------------
     def _init_population(self, model: Model, executor: str = "scalar") -> list:
-        """Build and validate the LP population for ``executor`` mode."""
+        """Build and validate the LP population, and the plan ``executor`` asks for."""
         self.model = model
-        lps, plan = resolve_build(model, executor)
+        lps = model.build()
         if not lps:
             raise ConfigurationError("model.build() returned no LPs")
         for i, lp in enumerate(lps):
@@ -100,22 +87,18 @@ class Executor:
                     f"position {i} has id {lp.id}"
                 )
         self.lps = lps
+        plan = model.vector_plan(lps) if executor == "vectorized" else None
         self.vec_plan = plan
-        #: The *effective* executor mode: "vectorized" only when the model
-        #: actually supplied an SoA population (snapshots record this —
-        #: the two populations' event payloads are not interchangeable,
-        #: so a checkpoint can only be resumed under the same mode).
-        self.executor = "vectorized" if plan is not None else "scalar"
-        #: Why a requested vectorized build fell back to scalar ("" when
-        #: it succeeded or was never requested).  Models set
-        #: ``soa_decline_reason`` as they refuse; engines copy this into
-        #: RunStats so ``repro.obs summary`` can explain a silent
-        #: fallback.  Engines with further preconditions (the Time Warp
-        #: fused fast paths) may append their own reason later.
+        #: Why a requested vector plan is not used ("" when it is, or was
+        #: never requested).  Models set ``soa_decline_reason`` as they
+        #: refuse; engines copy this into RunStats so ``repro.obs
+        #: summary`` can explain the fallback.  Engines with further
+        #: preconditions (the Time Warp fused fast paths) may append
+        #: their own reason later.
         if executor == "vectorized" and plan is None:
             self.soa_decline = (
                 getattr(model, "soa_decline_reason", "")
-                or "model has no vectorized build"
+                or "model has no vector plan"
             )
         else:
             self.soa_decline = ""

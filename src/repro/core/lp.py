@@ -225,16 +225,16 @@ class Model:
         """Create and return the LP population (ids must be 0..n-1)."""
         raise NotImplementedError
 
-    def build_vectorized(self):
-        """Optional struct-of-arrays build for ``executor="vectorized"``.
+    def vector_plan(self, lps: list[LogicalProcess]):
+        """Optional fused-stepping plan over ``lps`` for ``executor="vectorized"``.
 
-        Return ``(lps, plan)`` — an LP population whose state lives in
-        shared flat arrays plus a *vector plan* describing how an engine
-        may batch same-timestamp-band events (see
-        :class:`repro.core.executor.Executor`) — or ``None`` to decline,
-        in which case the engine silently falls back to :meth:`build`.
-        The SoA population must be observably identical to the scalar
-        one: same RNG draw sequences, same sends, same statistics.
+        Return a *vector plan* — an object whose ``compile_batch(kernel,
+        pe)`` builds a batch loop that steps same-timestamp-band event
+        runs of the population :meth:`build` returned through fused loops
+        (see :class:`repro.core.executor.Executor`) — or ``None`` to
+        decline, in which case the engine steps the LPs one event at a
+        time.  The plan must be observably identical to that: same RNG
+        draw sequences, same sends, same statistics.
         """
         return None
 
@@ -272,9 +272,10 @@ class Model:
     def mp_event_schema(self) -> dict | None:
         """Declare the wire layout of every event kind, or ``None``.
 
-        A mapping ``{kind: ((field, struct_char), ...)}`` over the
-        event's ``data`` dict, used by :class:`repro.mp.codec.EventCodec`
-        to struct-encode events crossing a process boundary.  ``None``
+        A mapping ``{kind: struct_format}`` packed by position, used by
+        :class:`repro.mp.codec.EventCodec` to struct-encode events
+        crossing a process boundary: ``""`` for a payload-less kind, one
+        field for a bare scalar payload, more for a tuple payload.  ``None``
         (the default) means the model cannot run in process mode — the
         runtime refuses up front rather than silently pickling.
         """

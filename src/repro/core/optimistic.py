@@ -465,10 +465,9 @@ class TimeWarpKernel(Executor):
         self.cost = config.cost
 
         # --- LP population -------------------------------------------------
-        # With ``executor="vectorized"`` this may be a struct-of-arrays
-        # population plus a vector plan (``self.vec_plan``); the plan is
-        # consulted by ``_install_fast_paths``, everything else treats the
-        # SoA LPs exactly like scalar ones.
+        # With ``executor="vectorized"`` the model may also supply a
+        # vector plan (``self.vec_plan``) over the same population; only
+        # ``_install_fast_paths`` consults it.
         self._init_population(model, config.executor)
         n_lps = len(self.lps)
 
@@ -1013,11 +1012,11 @@ class TimeWarpKernel(Executor):
                 and self.strategy.name == "reverse"
             ):
                 # Vectorized fast path: the model's plan fuses whole
-                # same-timestamp-band runs into struct-of-arrays steps.
-                # Lazy cancellation and copy rollback fall back to the
-                # scalar batch (the SoA LPs still run fine through it);
-                # the plan's compiled batch is bit-identical to the scalar
-                # one by construction (the conformance suite checks).
+                # same-timestamp-band runs into per-kind loops.  Lazy
+                # cancellation and copy rollback fall back to the scalar
+                # batch; the plan's compiled batch is bit-identical to
+                # the scalar one by construction (the conformance suite
+                # checks).
                 self._batch_by_pe = [
                     plan.compile_batch(self, pe) for pe in self.pes
                 ]

@@ -73,9 +73,9 @@ class RunStats:
     #: affected KP instead of one cascade per message).
     antimsg_batches: int = 0
     #: Vectorized-executor activity: same-timestamp-band runs dispatched
-    #: through the fused struct-of-arrays steppers, and the events those
-    #: runs advanced (both 0 under the scalar executor or when the model
-    #: has no SoA build).
+    #: through the fused band steppers, and the events those runs
+    #: advanced (both 0 under the scalar executor or when the vector plan
+    #: is declined).
     soa_batches: int = 0
     soa_lps_stepped: int = 0
     #: Why a requested vectorized executor fell back to scalar stepping

@@ -19,9 +19,9 @@ nothing and an attached one keeps the fused fast paths installed):
 * **Livelock** — some in-flight packet's age exceeds a Faber-style
   delivery bound derived from the topology diameter
   (``livelock_factor * diameter + livelock_slack`` steps).  Packet ages
-  are read from pending-event payloads (the ``inject_step`` field every
-  hot-potato packet carries); models without packet payloads simply
-  never trip it.
+  are read from pending-event payloads (the ``inject_step`` slot of the
+  hot-potato packet tuple); models without packet tuples simply never
+  trip it.
 * **Rollback thrash** — the wasted-work fraction (events rolled back per
   event processed, over a boundary window — the same attribution
   ``repro.obs thrash`` reports offline) exceeds a threshold.
@@ -368,16 +368,10 @@ class Watchdog:
         worst = -1.0
         for ev in events():
             data = ev.data
-            if type(data) is dict:
-                inject = data.get("inject_step")
-            elif type(data) is tuple and len(data) >= 7:
-                # SoA payload: (step, dest, priority, inject_step, ...).
-                inject = data[3]
-            else:
+            if type(data) is not tuple or len(data) < 7:
                 continue
-            if inject is None:
-                continue
-            age = position - inject
+            # Packet payload: (step, dest, priority, inject_step, ...).
+            age = position - data[3]
             if age > worst:
                 worst = age
         if worst > bound:

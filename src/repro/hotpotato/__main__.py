@@ -61,13 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--topology",
         choices=("torus", "mesh"),
-        default=None,
+        default="torus",
         help="grid topology by name (default torus)",
-    )
-    parser.add_argument(
-        "--mesh",
-        action="store_true",
-        help="mesh instead of torus (legacy alias for --topology mesh)",
     )
     parser.add_argument(
         "--scenario",
@@ -107,9 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=("scalar", "vectorized"),
         default="scalar",
-        help="LP stepping mode: 'vectorized' batches same-timestamp-band "
-        "events into struct-of-arrays steps (committed results are "
-        "identical either way; see docs/KERNEL.md)",
+        help="LP stepping mode: 'vectorized' steps same-timestamp-band "
+        "event runs through the fused band batch where the optimistic "
+        "engine allows it (committed results are identical either way; "
+        "see docs/KERNEL.md)",
     )
     parser.add_argument(
         "--cancellation",
@@ -250,14 +246,13 @@ def _config_marker(args, seed: int, scenario_meta: dict) -> dict:
         "duration": args.duration,
         "probability_i": args.probability_i,
         "absorb_sleeping": not args.no_absorb_sleeping,
-        "topology": args.topology or ("mesh" if args.mesh else "torus"),
+        "topology": args.topology,
         "processors": args.processors,
         "kps": args.kps,
         "batch": args.batch,
         "gvt_interval": args.gvt_interval,
         "procs": args.procs,
         "cancellation": args.cancellation,
-        "executor": args.executor,
         "seed": seed,
         "paranoid": args.paranoid,
         "fault_plan": args.fault_plan,
@@ -315,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
             duration=args.duration,
             injector_fraction=args.probability_i / 100.0,
             absorb_sleeping=not args.no_absorb_sleeping,
-            topology=args.topology or ("mesh" if args.mesh else "torus"),
+            topology=args.topology,
         )
         seed = args.seed if args.seed is not None else 0x5EED
         try:
@@ -501,17 +496,20 @@ def main(argv: list[str] | None = None) -> int:
                   f"{run.pe_stall_rounds:,} PE stall rounds")
 
     if args.validate:
+        # The twin is the sequential oracle when the main run was
+        # optimistic (in-process or --procs), else a 4-PE Time Warp run.
         other = (
-            sim.run_parallel(
+            sim.run()
+            if use_parallel
+            else sim.run_parallel(
                 n_pes=4, n_kps=args.kps, batch_size=args.batch,
                 cancellation=args.cancellation,
                 executor=args.executor,
             )
-            if args.processors <= 1
-            else sim.run()
         )
         identical = other.model_stats == ms
-        print(f"  cross-engine check : {'IDENTICAL' if identical else 'MISMATCH'}")
+        print(f"  cross-engine check : {'IDENTICAL' if identical else 'MISMATCH'} "
+              f"(vs {other.run.engine})")
         if not identical:
             return 1
     return 0

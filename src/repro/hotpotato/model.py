@@ -7,8 +7,20 @@ from typing import Any
 from repro.core.lp import LogicalProcess, Model
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.policy import BuschHotPotatoPolicy, RoutingPolicy
-from repro.hotpotato.router import MODEL_LOOKAHEAD, RouterLP
-from repro.hotpotato.stats import aggregate_router_stats, stats_from_signature
+from repro.hotpotato.router import (
+    ARRIVE,
+    HEARTBEAT,
+    INIT,
+    INJECT,
+    MODEL_LOOKAHEAD,
+    ROUTE,
+    RouterLP,
+)
+from repro.hotpotato.stats import (
+    RouterStats,
+    aggregate_router_stats,
+    stats_from_signature,
+)
 from repro.net import TOPOLOGIES, GridTopology, TorusTopology
 from repro.rng.streams import ReversibleStream, derive_seed
 
@@ -55,8 +67,8 @@ class HotPotatoModel(Model):
     ) -> None:
         self.cfg = cfg if cfg is not None else HotPotatoConfig()
         self.policy = policy if policy is not None else BuschHotPotatoPolicy()
-        #: Why build_vectorized() declined, for RunStats.soa_decline_reason
-        #: ("" until a vectorized build is attempted and refused).
+        #: Why vector_plan() declined, for RunStats.soa_decline_reason
+        #: ("" until a plan is requested and refused).
         self.soa_decline_reason = ""
         #: Optional repro.faults.FaultPlan; its *model* faults (link and
         #: router schedules) are compiled here so every engine — including
@@ -105,16 +117,25 @@ class HotPotatoModel(Model):
         #: order, so sort before time-series analysis.
         self.delivery_log: list[tuple[int, int]] = []
 
-    def build(self) -> list[LogicalProcess]:
+    def build(self) -> list[RouterLP]:
+        """The router population over freshly allocated shared arrays.
+
+        Every engine and executor runs this one population; see
+        :mod:`repro.hotpotato.router` for the array layout.
+        """
+        n = self.cfg.num_routers
+        links = [-1] * (4 * n)
+        head_gen = [0] * n
         log = self.delivery_log if self.cfg.delivery_log else None
         lps = [
-            RouterLP(i, self.cfg, self.topo, self.policy, self.injectors[i], log)
-            for i in range(self.cfg.num_routers)
+            RouterLP(
+                i, self.cfg, self.topo, self.policy, self.injectors[i],
+                links, head_gen, RouterStats(), log,
+            )
+            for i in range(n)
         ]
-        views = self._fault_views
-        if views:
-            for i, faults in views.items():
-                lps[i].faults = faults
+        for i, faults in self._fault_views.items():
+            lps[i].faults = faults
         scripts = self._adversary_scripts
         if scripts is not None:
             for i, script in enumerate(scripts):
@@ -122,17 +143,17 @@ class HotPotatoModel(Model):
                     lps[i].adversary = script
         return lps
 
-    def build_vectorized(self):
-        """SoA population + band-stepping plan (``executor="vectorized"``).
+    def vector_plan(self, lps: list[RouterLP]):
+        """The fused band-stepping plan over ``lps`` (``executor="vectorized"``).
 
-        Declines (returns None → engines fall back to :meth:`build`) when
-        the routing policy is not exactly the Busch policy — the fused
-        stepper inlines its ``route`` logic, so a subclass override would
-        silently be ignored — when the topology is not the torus the
-        band-edge proof was written against, or when an adversarial
-        injection plan is attached (the fused INJECT step inlines the
-        uniform destination draw).  Each refusal records its reason in
-        ``soa_decline_reason`` so RunStats can surface it.
+        Declines (returns None, and the engines step ``lps`` one event at
+        a time) when the routing policy is not exactly the Busch policy —
+        the fused stepper inlines its ``route`` logic, so a subclass
+        override would silently be ignored — when the topology is not the
+        torus the band-edge proof was written against, or when an
+        adversarial injection plan is attached (the fused INJECT step
+        inlines the uniform destination draw).  Each refusal records its
+        reason in ``soa_decline_reason`` so RunStats can surface it.
         """
         if type(self.policy) is not BuschHotPotatoPolicy:
             self.soa_decline_reason = (
@@ -152,9 +173,9 @@ class HotPotatoModel(Model):
                 "step inlines the uniform destination draw)"
             )
             return None
-        from repro.hotpotato.soa import build_soa
+        from repro.hotpotato.soa import HotPotatoVectorPlan
 
-        return build_soa(self)
+        return HotPotatoVectorPlan(lps, self.cfg, self.topo)
 
     def checkpoint_state(self) -> Any:
         """Model-level mutable state: the commit-time delivery log."""
@@ -178,26 +199,16 @@ class HotPotatoModel(Model):
         Only ARRIVE ever actually crosses a worker boundary (every other
         kind is a self-send), but declaring all five keeps the codec
         total over the model's kinds, so a future mapping change cannot
-        silently hit the "kind not in schema" refusal mid-run.
+        silently hit the "kind not in schema" refusal mid-run.  The
+        packet tuple is ``(step, dest, priority, inject_step, jitter,
+        distance, src)``; INJECT and HEARTBEAT carry the bare step.
         """
-        from repro.hotpotato.router import ARRIVE, HEARTBEAT, INIT, INJECT, ROUTE
-
-        packet = (
-            ("step", "i"),
-            ("dest", "i"),
-            ("priority", "B"),
-            ("inject_step", "i"),
-            ("jitter", "d"),
-            ("distance", "i"),
-            ("src", "i"),
-        )
-        tick = (("step", "i"),)
         return {
-            INIT: (),
-            ARRIVE: packet,
-            ROUTE: packet,
-            INJECT: tick,
-            HEARTBEAT: tick,
+            INIT: "",
+            ARRIVE: "iiBidii",
+            ROUTE: "iiBidii",
+            INJECT: "i",
+            HEARTBEAT: "i",
         }
 
     def mp_export_lp(self, lp: LogicalProcess) -> tuple:

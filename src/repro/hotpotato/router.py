@@ -24,6 +24,22 @@ step ``s`` completes before injection, which completes before the
 utilisation sample; packets forwarded at step ``s`` arrive at step
 ``s + 1``.  Every handler records what it changed in ``event.saved`` and
 has an exact reverse, so the model runs unmodified on the Time Warp kernel.
+
+State and payload layout
+------------------------
+A router's mutable state lives in arrays *shared across the whole
+population* (built by :meth:`HotPotatoModel.build
+<repro.hotpotato.model.HotPotatoModel.build>`): one flat ``links`` list
+with four claim slots per router, one ``head_gen`` list with one
+injection head per router, and one :class:`~repro.hotpotato.stats.RouterStats`
+per router.  The Time Warp kernel's fused band stepper
+(:mod:`repro.hotpotato.soa`) steps the same arrays directly.
+
+ARRIVE and ROUTE carry the packet as a plain tuple
+``(step, dest, priority, inject_step, jitter, distance, src)``; INJECT
+and HEARTBEAT carry the bare step int; INIT carries nothing.  Packets are
+immutable in place: every hop builds the next tuple, so reverse
+computation only ever undoes router state.
 """
 
 from __future__ import annotations
@@ -34,7 +50,6 @@ from repro.core.event import Event
 from repro.core.lp import LogicalProcess
 from repro.errors import ModelError
 from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.packet import Priority
 from repro.hotpotato.policy import RoutingPolicy, first_free, first_free_good
 from repro.hotpotato.stats import RouterStats
 from repro.net import DIRECTIONS, GridTopology
@@ -65,9 +80,6 @@ HEARTBEAT_OFFSET = 0.95
 #: Arrival offset used when the randomised jitter is disabled.
 FIXED_JITTER = 0.25
 
-#: Enum member hoisted out of the per-route hot path.
-_RUNNING = Priority.RUNNING
-
 #: Minimum virtual-time gap between any event and anything it schedules,
 #: over all handler/offset combinations (the binding case is INJECT at
 #: s+0.9 sending an ARRIVE at s+1+jitter with jitter >= 1/(2*jitter_slots)).
@@ -76,7 +88,13 @@ MODEL_LOOKAHEAD = 0.1
 
 
 class RouterLP(LogicalProcess):
-    """One bufferless router (plus optional injection application)."""
+    """One bufferless router (plus optional injection application).
+
+    ``links[base + d]`` (``base = 4*id``) is the last step output link
+    ``d`` was claimed (-1 = never; a link is free at step ``s`` iff its
+    entry differs from ``s``), ``head_gen[id]`` the generation step of the
+    oldest not-yet-injected packet, and ``stats`` this router's counters.
+    """
 
     __slots__ = (
         "cfg",
@@ -86,7 +104,8 @@ class RouterLP(LogicalProcess):
         "neighbors",
         "exists",
         "links",
-        "head_gen_step",
+        "base",
+        "head_gen",
         "stats",
         "delivery_log",
         "faults",
@@ -100,6 +119,9 @@ class RouterLP(LogicalProcess):
         topo: GridTopology,
         policy: RoutingPolicy,
         is_injector: bool,
+        links: list[int],
+        head_gen: list[int],
+        stats: RouterStats,
         delivery_log: list | None = None,
     ) -> None:
         super().__init__(lp_id)
@@ -113,14 +135,14 @@ class RouterLP(LogicalProcess):
         self.neighbors = tuple(topo.neighbor(lp_id, d) for d in DIRECTIONS)
         #: Which output links physically exist (all four on a torus).
         self.exists = tuple(nb is not None for nb in self.neighbors)
-        #: Last step each output link was claimed (-1 = never).  A link is
-        #: free at step s iff its entry differs from s.
-        self.links = [-1, -1, -1, -1]
-        #: Generation step of the oldest not-yet-injected packet; equals
-        #: the number of packets injected so far, since one packet is
+        #: Shared flat claim array; this router owns ``[base, base+4)``.
+        self.links = links
+        self.base = lp_id * 4
+        #: Shared injection-head array; this router owns slot ``id``.  The
+        #: head doubles as the injected count, since one packet is
         #: generated per step from step 0.
-        self.head_gen_step = 0
-        self.stats = RouterStats()
+        self.head_gen = head_gen
+        self.stats = stats
         #: Compiled fault view (repro.faults.views.NodeFaults) or None.
         #: The model attaches one only to routers its fault plan touches,
         #: so the ``faults is None`` fast paths below are the common case
@@ -132,21 +154,17 @@ class RouterLP(LogicalProcess):
         #: Compiled adversary script — a tuple of ``(gen_step, dest)``
         #: pairs in increasing step order — or None for the stock
         #: Bernoulli injection application.  Like ``faults``, the model
-        #: attaches one only to routers the plan names, so scripted
-        #: injection costs nothing when no adversary is configured, and
-        #: the decisions are pure data: identical on every engine and
-        #: across Time Warp re-executions.
+        #: attaches one only to routers the plan names, and the decisions
+        #: are pure data: identical on every engine and across Time Warp
+        #: re-executions.
         self.adversary = None
 
     # ------------------------------------------------------------------
-    # Startup.
+    # Startup / dispatch.
     # ------------------------------------------------------------------
     def on_init(self) -> None:
         self.send(INIT_TS, self.id, INIT)
 
-    # ------------------------------------------------------------------
-    # Dispatch.
-    # ------------------------------------------------------------------
     def forward(self, event: Event) -> None:
         kind = event.kind
         if kind == ARRIVE:
@@ -189,9 +207,7 @@ class RouterLP(LogicalProcess):
             and "absorb" in event.saved
         ):
             data = event.data
-            self.delivery_log.append(
-                (data["step"], data["step"] - data["inject_step"])
-            )
+            self.delivery_log.append((data[0], data[0] - data[3]))
 
     # ------------------------------------------------------------------
     # Shared helpers.
@@ -203,42 +219,33 @@ class RouterLP(LogicalProcess):
             return self.rng.integer(1, cfg.jitter_slots) / (2 * cfg.jitter_slots)
         return FIXED_JITTER
 
-    def _draw_destination(self) -> int:
-        """Uniform destination among the other routers (one draw)."""
-        d = self.rng.integer(0, self.topo.num_nodes - 2)
-        return d + 1 if d >= self.id else d
-
     def _draw_dest_jitter(self) -> tuple[int, float]:
-        """Destination then jitter — the injection pair, batched.
+        """Uniform destination among the other routers, then the jitter.
 
-        Draw order and counts are identical to ``_draw_destination()``
-        followed by ``_draw_jitter()``; with jitter enabled the two RNG
-        steps collapse into one :meth:`ReversibleStream.integer2` call.
+        With jitter enabled the two RNG steps collapse into one
+        :meth:`ReversibleStream.integer2` call (same draws, same order).
         """
         cfg = self.cfg
         if cfg.arrival_jitter:
             slots = cfg.jitter_slots
             dest, j = self.rng.integer2(0, self.topo.num_nodes - 2, 1, slots)
-            if dest >= self.id:
-                dest += 1
-            return dest, j / (2 * slots)
-        return self._draw_destination(), FIXED_JITTER
+            jitter = j / (2 * slots)
+        else:
+            dest = self.rng.integer(0, self.topo.num_nodes - 2)
+            jitter = FIXED_JITTER
+        return (dest + 1 if dest >= self.id else dest), jitter
 
     def _free_mask(self, step: int) -> tuple[bool, bool, bool, bool]:
+        """Which output links exist and are unclaimed at ``step``."""
         links = self.links
+        base = self.base
         ex = self.exists
         return (
-            ex[0] and links[0] != step,
-            ex[1] and links[1] != step,
-            ex[2] and links[2] != step,
-            ex[3] and links[3] != step,
+            ex[0] and links[base] != step,
+            ex[1] and links[base + 1] != step,
+            ex[2] and links[base + 2] != step,
+            ex[3] and links[base + 3] != step,
         )
-
-    def _send_arrive(self, direction: int, step: int, fields: dict[str, Any]) -> None:
-        """Forward a packet over ``direction``, arriving next step."""
-        nb = self.neighbors[direction]
-        assert nb is not None, "routed onto a non-existent link"
-        self.send(step + 1 + fields["jitter"], nb, ARRIVE, fields)
 
     # ------------------------------------------------------------------
     # INIT: seed the network "to full (four packets per router)" (§3.3.1).
@@ -249,6 +256,8 @@ class RouterLP(LogicalProcess):
         flt = self.faults
         alive = flt is None or not flt.crashed(0)
         if cfg.initial_fill > 0.0 and alive:
+            links = self.links
+            base = self.base
             for d in DIRECTIONS:
                 if not self.exists[d]:
                     continue
@@ -257,32 +266,28 @@ class RouterLP(LogicalProcess):
                 if cfg.initial_fill < 1.0 and not self.rng.bernoulli(cfg.initial_fill):
                     continue
                 dest, jitter = self._draw_dest_jitter()
-                self.links[d] = 0
+                links[base + d] = 0
                 seeded.append(d)
-                self._send_arrive(
-                    d,
-                    0,
-                    {
-                        "step": 1,
-                        "dest": dest,
-                        "priority": int(Priority.SLEEPING),
-                        "inject_step": 0,
-                        "jitter": jitter,
-                        "distance": self.topo.route_info(self.id, dest)[3],
-                        "src": self.id,
-                    },
+                distance = self.topo.route_info(self.id, dest)[3]
+                self.send(
+                    1 + jitter,
+                    self.neighbors[d],
+                    ARRIVE,
+                    (1, dest, 0, 0, jitter, distance, self.id),
                 )
         event.saved["seeded"] = seeded
         self.stats.initial_packets += len(seeded)
         if self.is_injector:
-            self.send(INJECT_OFFSET, self.id, INJECT, {"step": 0})
+            self.send(INJECT_OFFSET, self.id, INJECT, 0)
         if cfg.heartbeat:
-            self.send(HEARTBEAT_OFFSET, self.id, HEARTBEAT, {"step": 0})
+            self.send(HEARTBEAT_OFFSET, self.id, HEARTBEAT, 0)
 
     def _rc_init_fill(self, event: Event) -> None:
         seeded = event.saved["seeded"]
+        links = self.links
+        base = self.base
         for d in seeded:
-            self.links[d] = -1
+            links[base + d] = -1
         self.stats.initial_packets -= len(seeded)
 
     # ------------------------------------------------------------------
@@ -290,7 +295,7 @@ class RouterLP(LogicalProcess):
     # ------------------------------------------------------------------
     def _arrive(self, event: Event) -> None:
         data = event.data
-        step: int = data["step"]
+        step: int = data[0]
         flt = self.faults
         if flt is not None and flt.crashed(step):
             # The router is dead this step: the packet is lost (even at
@@ -300,31 +305,28 @@ class RouterLP(LogicalProcess):
             self.stats.fault_dropped_crash += 1
             event.saved["fdrop"] = True
             return
-        priority = data["priority"]
-        if data["dest"] == self.id and (
-            priority != Priority.SLEEPING or self.cfg.absorb_sleeping
-        ):
+        priority = data[2]
+        if data[1] == self.id and (priority != 0 or self.cfg.absorb_sleeping):
             # Absorption: record delivery statistics; the output link the
             # packet would have used stays free for injection (§4.1).
             st = self.stats
-            dt = step - data["inject_step"]
+            dt = step - data[3]
             st.delivered += 1
             st.total_delivery_time += dt
-            st.total_distance += data["distance"]
+            st.total_distance += data[5]
             st.delivered_by_priority[priority] += 1
             prev_max = st.max_delivery_time
             if dt > prev_max:
                 st.max_delivery_time = dt
             event.saved["absorb"] = prev_max
             return
-        rank = 3 - priority  # Priority.route_rank without the enum call
         ts = (
             step
             + ROUTE_BASE
-            + ROUTE_PRIO_STRIDE * rank
-            + ROUTE_JITTER_SCALE * data["jitter"]
+            + ROUTE_PRIO_STRIDE * (3 - priority)  # Priority.route_rank
+            + ROUTE_JITTER_SCALE * data[4]
         )
-        # The ROUTE event reuses the same payload dict: handlers treat
+        # The ROUTE event reuses the same payload tuple: handlers treat
         # payloads as read-only, so sharing is safe and avoids a copy.
         self.send(ts, self.id, ROUTE, data)
         event.saved.pop("absorb", None)
@@ -338,11 +340,11 @@ class RouterLP(LogicalProcess):
             return  # only sent a ROUTE event; the kernel cancels it
         data = event.data
         st = self.stats
-        dt = data["step"] - data["inject_step"]
+        dt = data[0] - data[3]
         st.delivered -= 1
         st.total_delivery_time -= dt
-        st.total_distance -= data["distance"]
-        st.delivered_by_priority[data["priority"]] -= 1
+        st.total_distance -= data[5]
+        st.delivered_by_priority[data[2]] -= 1
         st.max_delivery_time = prev_max
 
     # ------------------------------------------------------------------
@@ -350,20 +352,20 @@ class RouterLP(LogicalProcess):
     # ------------------------------------------------------------------
     def _route(self, event: Event) -> None:
         data = event.data
-        step: int = data["step"]
-        # ``self._free_mask(step)`` inlined: one per routed packet.
+        step: int = data[0]
         links = self.links
+        base = self.base
         ex = self.exists
-        free = (
-            ex[0] and links[0] != step,
-            ex[1] and links[1] != step,
-            ex[2] and links[2] != step,
-            ex[3] and links[3] != step,
+        # self._free_mask(step), inlined: one per routed packet.
+        free = basemask = (
+            ex[0] and links[base] != step,
+            ex[1] and links[base + 1] != step,
+            ex[2] and links[base + 2] != step,
+            ex[3] and links[base + 3] != step,
         )
         flt = self.faults
-        base = free
         if flt is not None:
-            free = flt.mask(free, step)
+            free = flt.mask(basemask, step)
             if not any(free):
                 # Every surviving output link is faulted (or claimed):
                 # a bufferless router cannot hold the packet, so it is
@@ -372,11 +374,11 @@ class RouterLP(LogicalProcess):
                 # "arrivals <= free links"; transient contention-only
                 # versions of this state (lazy cancellation) take the
                 # same branch and are always rolled back.
-                st = self.stats
-                st.fault_dropped_no_link += 1
+                self.stats.fault_dropped_no_link += 1
                 event.saved["fdrop"] = True
                 return
             event.saved.pop("fdrop", None)
+        st = self.stats
         if not any(free):
             # More packets than output links.  In a committed timeline this
             # is impossible (the bufferless invariant); it CAN be observed
@@ -386,44 +388,42 @@ class RouterLP(LogicalProcess):
             # back, so route "impossibly" on the first physical link and
             # count it; committed statistics must show zero overflows
             # (asserted across the test suite).
-            st = self.stats
-            d = next(dd for dd in DIRECTIONS if self.exists[dd])
-            event.saved["route"] = (int(d), self.links[d], False, False, False, False, data["priority"])
+            d = next(dd for dd in DIRECTIONS if ex[dd])
+            event.saved["route"] = (
+                int(d), links[base + d], False, False, False, False, data[2]
+            )
             event.saved["overflow"] = True
-            self.links[d] = step
+            links[base + d] = step
             st.routes += 1
             st.overflow_routes += 1
-            fields = dict(data)
-            fields["step"] = step + 1
-            self._send_arrive(d, step, fields)
+            self.send(
+                step + 1 + data[4], self.neighbors[d], ARRIVE, (step + 1,) + data[1:]
+            )
             return
         event.saved.pop("overflow", None)
-        # Priorities travel as raw ints; IntEnum comparisons below work on
-        # them directly, sparing the Priority() construction per route.
-        priority = data["priority"]
+        priority = data[2]
         out = self.policy.route(
-            self.topo, self.id, data["dest"], priority, free, self.rng, self.cfg
+            self.topo, self.id, data[1], priority, free, self.rng, self.cfg
         )
         d = out.direction
-        st = self.stats
-        off_turn = priority == _RUNNING and out.demoted and not out.turning
+        off_turn = priority == 3 and out.demoted and not out.turning
         event.saved["route"] = (
             int(d),
-            self.links[d],
+            links[base + d],
             out.deflected,
             out.upgraded,
             out.demoted,
             off_turn,
             priority,
         )
-        self.links[d] = step
+        links[base + d] = step
         st.routes += 1
         if out.deflected:
             st.deflections += 1
         if out.upgraded:
-            if priority == Priority.SLEEPING:
+            if priority == 0:
                 st.upgrades_sleeping += 1
-            elif priority == Priority.ACTIVE:
+            elif priority == 1:
                 st.upgrades_active += 1
             else:
                 st.promotions_running += 1
@@ -434,16 +434,19 @@ class RouterLP(LogicalProcess):
         if flt is not None and out.deflected:
             # Attribute the deflection to the faults when some good
             # direction was contention-free but fault-masked.
-            good = self.topo.route_info(self.id, data["dest"])[0]
-            if any(base[g] and not free[g] for g in good):
+            good = self.topo.route_info(self.id, data[1])[0]
+            if any(basemask[g] and not free[g] for g in good):
                 st.fault_deflections += 1
                 event.saved["fdefl"] = True
-        fields = dict(data)
-        fields["step"] = step + 1
-        fields["priority"] = int(out.new_priority)
-        # _send_arrive inlined (hottest send site; the free mask already
-        # guaranteed the link exists).
-        self.send(step + 1 + fields["jitter"], self.neighbors[d], ARRIVE, fields)
+        self.send(
+            step + 1 + data[4],
+            self.neighbors[d],
+            ARRIVE,
+            (
+                step + 1, data[1], int(out.new_priority),
+                data[3], data[4], data[5], data[6],
+            ),
+        )
 
     def _rc_route(self, event: Event) -> None:
         st = self.stats
@@ -456,7 +459,7 @@ class RouterLP(LogicalProcess):
         d, prev_claim, deflected, upgraded, demoted, off_turn, priority = event.saved[
             "route"
         ]
-        self.links[d] = prev_claim
+        self.links[self.base + d] = prev_claim
         st.routes -= 1
         if event.saved.pop("overflow", None):
             st.overflow_routes -= 1
@@ -464,9 +467,9 @@ class RouterLP(LogicalProcess):
         if deflected:
             st.deflections -= 1
         if upgraded:
-            if priority == Priority.SLEEPING:
+            if priority == 0:
                 st.upgrades_sleeping -= 1
-            elif priority == Priority.ACTIVE:
+            elif priority == 1:
                 st.upgrades_active -= 1
             else:
                 st.promotions_running -= 1
@@ -479,14 +482,19 @@ class RouterLP(LogicalProcess):
     # INJECT: one injection attempt per step (§3.1.4).
     # ------------------------------------------------------------------
     def _inject(self, event: Event) -> None:
-        if self.adversary is not None:
-            self._inject_adversary(event)
-            return
-        data = event.data
-        step: int = data["step"]
-        # The application generates one packet per step from step 0; the
-        # queue head's generation step doubles as the injected count.
-        self.send(step + 1 + INJECT_OFFSET, self.id, INJECT, {"step": step + 1})
+        """One injection attempt: Bernoulli traffic or the adversary script.
+
+        The stock application generates one packet per step from step 0,
+        so the head's generation step is the head index itself.  Under an
+        adversary the head is a cursor into the ``(gen_step, dest)``
+        script instead; the only runtime draw is then the arrival jitter
+        — the adversary's who/when/where decisions were fixed when the
+        plan was expanded, which keeps the workload identical across
+        engines and rollbacks.  Both kinds save the same tuple shape, so
+        :meth:`_rc_inject` reverses either.
+        """
+        step: int = event.data
+        self.send(step + 1 + INJECT_OFFSET, self.id, INJECT, step + 1)
         flt = self.faults
         if flt is not None and flt.crashed(step):
             # A crashed router injects nothing; generation continues (the
@@ -494,124 +502,54 @@ class RouterLP(LogicalProcess):
             # through the normal wait-time machinery after recovery.
             event.saved["inject"] = None
             return
-        pending = (step + 1) - self.head_gen_step
-        if pending <= 0:
+        head = self.head_gen[self.id]
+        script = self.adversary
+        if script is None:
+            if step + 1 - head <= 0:
+                event.saved["inject"] = None
+                return
+        elif head >= len(script) or script[head][0] > step:
+            # Script exhausted, or the next generation lies in the future.
             event.saved["inject"] = None
             return
-        # ``self._free_mask(step)`` inlined: one per injection attempt.
-        links = self.links
-        ex = self.exists
-        free = (
-            ex[0] and links[0] != step,
-            ex[1] and links[1] != step,
-            ex[2] and links[2] != step,
-            ex[3] and links[3] != step,
-        )
+        free = self._free_mask(step)
         if flt is not None:
             free = flt.mask(free, step)
         if not any(free):
             # "a packet can only be injected when there is a free link at
-            # that router" (§4.1) — blocked this step.
+            # that router" (§4.1) — blocked this step.  The adversary
+            # controls generation, not admission.
             self.stats.inject_blocked += 1
             event.saved["inject"] = ()
             return
-        dest, jitter = self._draw_dest_jitter()
+        if script is None:
+            gen_step = head
+            dest, jitter = self._draw_dest_jitter()
+        else:
+            gen_step, dest = script[head]
+            jitter = self._draw_jitter()
         d = first_free_good(self.topo, self.id, dest, free)
         if d is None:
             d = first_free(free)
-            assert d is not None
-        st = self.stats
-        wait = step - self.head_gen_step
-        prev_max = st.max_inject_wait
-        event.saved["inject"] = (int(d), self.links[d], wait, prev_max)
-        self.links[d] = step
-        self.head_gen_step += 1
-        st.injected += 1
-        st.total_inject_wait += wait
-        if wait > prev_max:
-            st.max_inject_wait = wait
-        self._send_arrive(
-            d,
-            step,
-            {
-                "step": step + 1,
-                "dest": dest,
-                "priority": int(Priority.SLEEPING),
-                "inject_step": step,
-                "jitter": jitter,
-                "distance": self.topo.route_info(self.id, dest)[3],
-                "src": self.id,
-            },
-        )
-
-    def _inject_adversary(self, event: Event) -> None:
-        """Scripted injection: drain the adversary's ``(gen_step, dest)``
-        queue instead of generating Bernoulli traffic.
-
-        ``head_gen_step`` is repurposed as the script cursor (and still
-        equals the injected count); the saved tuple has exactly the
-        Bernoulli shape, so :meth:`_rc_inject` reverses both kinds
-        unchanged.  The only runtime draw is the arrival jitter — the
-        adversary's who/when/where decisions were fixed when the plan was
-        expanded, which is what keeps the workload identical across
-        engines and rollbacks.
-        """
-        step: int = event.data["step"]
-        self.send(step + 1 + INJECT_OFFSET, self.id, INJECT, {"step": step + 1})
-        flt = self.faults
-        if flt is not None and flt.crashed(step):
-            event.saved["inject"] = None
-            return
-        script = self.adversary
-        idx = self.head_gen_step
-        if idx >= len(script) or script[idx][0] > step:
-            # Script exhausted, or the next generation lies in the future.
-            event.saved["inject"] = None
-            return
+        d = int(d)
         links = self.links
-        ex = self.exists
-        free = (
-            ex[0] and links[0] != step,
-            ex[1] and links[1] != step,
-            ex[2] and links[2] != step,
-            ex[3] and links[3] != step,
-        )
-        if flt is not None:
-            free = flt.mask(free, step)
-        if not any(free):
-            # Same bufferless admission rule as Bernoulli injection: the
-            # adversary controls generation, not admission (§4.1).
-            self.stats.inject_blocked += 1
-            event.saved["inject"] = ()
-            return
-        gen_step, dest = script[idx]
-        jitter = self._draw_jitter()
-        d = first_free_good(self.topo, self.id, dest, free)
-        if d is None:
-            d = first_free(free)
-            assert d is not None
+        base = self.base
         st = self.stats
         wait = step - gen_step
         prev_max = st.max_inject_wait
-        event.saved["inject"] = (int(d), self.links[d], wait, prev_max)
-        self.links[d] = step
-        self.head_gen_step += 1
+        event.saved["inject"] = (d, links[base + d], wait, prev_max)
+        links[base + d] = step
+        self.head_gen[self.id] = head + 1
         st.injected += 1
         st.total_inject_wait += wait
         if wait > prev_max:
             st.max_inject_wait = wait
-        self._send_arrive(
-            d,
-            step,
-            {
-                "step": step + 1,
-                "dest": dest,
-                "priority": int(Priority.SLEEPING),
-                "inject_step": step,
-                "jitter": jitter,
-                "distance": self.topo.route_info(self.id, dest)[3],
-                "src": self.id,
-            },
+        distance = self.topo.route_info(self.id, dest)[3]
+        self.send(
+            step + 1 + jitter,
+            self.neighbors[d],
+            ARRIVE,
+            (step + 1, dest, 0, step, jitter, distance, self.id),
         )
 
     def _rc_inject(self, event: Event) -> None:
@@ -623,8 +561,8 @@ class RouterLP(LogicalProcess):
             return
         d, prev_claim, wait, prev_max = saved
         st = self.stats
-        self.links[d] = prev_claim
-        self.head_gen_step -= 1
+        self.links[self.base + d] = prev_claim
+        self.head_gen[self.id] -= 1
         st.injected -= 1
         st.total_inject_wait -= wait
         st.max_inject_wait = prev_max
@@ -633,16 +571,17 @@ class RouterLP(LogicalProcess):
     # HEARTBEAT: sample output-link utilisation (optional, §3.1.4).
     # ------------------------------------------------------------------
     def _heartbeat(self, event: Event) -> None:
-        step: int = event.data["step"]
+        step: int = event.data
         links = self.links
+        base = self.base
         claimed = sum(
-            1 for d in DIRECTIONS if self.exists[d] and links[d] == step
+            1 for d in DIRECTIONS if self.exists[d] and links[base + d] == step
         )
         st = self.stats
         st.util_claimed += claimed
         st.util_samples += sum(self.exists)
         event.saved["hb"] = claimed
-        self.send(step + 1 + HEARTBEAT_OFFSET, self.id, HEARTBEAT, {"step": step + 1})
+        self.send(step + 1 + HEARTBEAT_OFFSET, self.id, HEARTBEAT, step + 1)
 
     def _rc_heartbeat(self, event: Event) -> None:
         st = self.stats
@@ -650,13 +589,22 @@ class RouterLP(LogicalProcess):
         st.util_samples -= sum(self.exists)
 
     # ------------------------------------------------------------------
-    # State-saving snapshots (cheaper than the default deepcopy).
+    # State-saving snapshots: this router's stripes of the shared arrays.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Any:
-        return (list(self.links), self.head_gen_step, self.stats.copy())
+        base = self.base
+        return (
+            self.links[base : base + 4],
+            self.head_gen[self.id],
+            self.stats.copy(),
+        )
 
     def restore_state(self, snapshot: Any) -> None:
         links, head, stats = snapshot
-        self.links = list(links)
-        self.head_gen_step = head
+        base = self.base
+        self.links[base : base + 4] = links
+        self.head_gen[self.id] = head
+        # A fresh object is safe: the fused band stepper reads ``stats``
+        # when it is compiled at run start, and it is never installed
+        # under the copy rollback strategy that calls this mid-run.
         self.stats = stats.copy()

@@ -11,13 +11,14 @@ no pickle on the hot path, ever.  Two frame types:
   key rides along for error reporting only).
 
 The payload layout is declared by the *model* through
-``Model.mp_event_schema()``: a mapping of event kind to an ordered
-``((field, struct_char), ...)`` tuple over the event's ``data`` dict.
-Workers on both sides build identical codecs from the same model, so a
-kind id is just the kind's index in sorted order.  A model without a
-schema (or an event whose kind is missing from it) cannot cross a
-process boundary, and the runtime refuses the run up front rather than
-silently pickling.
+``Model.mp_event_schema()``: a mapping of event kind to a ``struct``
+format string packed by position.  An empty format means the kind
+carries no payload, a one-field format a bare scalar, and a longer
+format a tuple of exactly that many fields.  Workers on both sides build
+identical codecs from the same model, so a kind id is just the kind's
+index in sorted order.  A model without a schema (or an event whose kind
+is missing from it) cannot cross a process boundary, and the runtime
+refuses the run up front rather than silently pickling.
 
 The ``uid`` exists because lazy cancellation can put a *new, different*
 positive for the same event key on the wire before the anti-message for
@@ -45,7 +46,7 @@ _ANTI = struct.Struct("<BQdIII")
 class EventCodec:
     """Encode/decode events against one model's declared schema."""
 
-    __slots__ = ("kinds", "_kind_id", "_fields", "_structs")
+    __slots__ = ("kinds", "_kind_id", "_arity", "_structs")
 
     def __init__(self, schema) -> None:
         if not schema:
@@ -57,14 +58,9 @@ class EventCodec:
         if len(self.kinds) > 0xFF:
             raise ConfigurationError("more than 255 event kinds")
         self._kind_id = {kind: i for i, kind in enumerate(self.kinds)}
-        self._fields = []
-        self._structs = []
-        for kind in self.kinds:
-            spec = tuple(schema[kind])
-            self._fields.append(tuple(name for name, _ in spec))
-            self._structs.append(
-                struct.Struct("<" + "".join(ch for _, ch in spec))
-            )
+        self._structs = [struct.Struct("<" + schema[kind]) for kind in self.kinds]
+        #: Fields per kind: 0 = no payload, 1 = bare scalar, else a tuple.
+        self._arity = [len(st.unpack(bytes(st.size))) for st in self._structs]
 
     # -- positives -----------------------------------------------------
     def encode_event(self, ev, uid: int) -> bytes:
@@ -79,13 +75,12 @@ class EventCodec:
         head = _POS_HEAD.pack(
             POSITIVE, uid, key.ts, key.origin, key.seq, ev.dst, kind_id
         )
-        fields = self._fields[kind_id]
-        if not fields:
+        arity = self._arity[kind_id]
+        if arity == 0:
             return head
-        data = ev.data
-        return head + self._structs[kind_id].pack(
-            *(data[name] for name in fields)
-        )
+        if arity == 1:
+            return head + self._structs[kind_id].pack(ev.data)
+        return head + self._structs[kind_id].pack(*ev.data)
 
     def decode(self, frame: bytes):
         """Decode one frame.
@@ -97,14 +92,13 @@ class EventCodec:
         ftype = frame[0]
         if ftype == POSITIVE:
             _, uid, ts, origin, seq, dst, kind_id = _POS_HEAD.unpack_from(frame)
-            fields = self._fields[kind_id]
-            if fields:
-                values = self._structs[kind_id].unpack_from(
-                    frame, _POS_HEAD.size
-                )
-                data = dict(zip(fields, values))
+            arity = self._arity[kind_id]
+            if arity == 0:
+                data = None
             else:
-                data = {}
+                data = self._structs[kind_id].unpack_from(frame, _POS_HEAD.size)
+                if arity == 1:
+                    data = data[0]
             return ("pos", uid, ts, origin, seq, dst, self.kinds[kind_id], data)
         if ftype == ANTI:
             _, uid, ts, origin, seq, dst = _ANTI.unpack(frame)

@@ -76,12 +76,16 @@ class MPWorkerKernel(TimeWarpKernel):
             self.pe_lo <= p < self.pe_hi for p in self.pe_of_lp
         ]
         # Swap in the ring transport.  ``_direct`` off keeps every send on
-        # the generic _emit path (where the transport sees it) and makes
-        # _install_fast_paths record the vectorization decline for us.
+        # the generic _emit path, where the transport sees it.
         transport.bind(self)
         self.transport = transport
         self.ring_transport = transport
         self._direct = False
+        if self.vec_plan is not None:
+            self.soa_decline = (
+                "process mode sends through the ring transport, which the "
+                "fused band batch bypasses"
+            )
         self._wave_codec = WaveCodec(config.procs)
         self._ctl_in = ctl_in
         self._ctl_out = ctl_out

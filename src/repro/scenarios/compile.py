@@ -138,7 +138,6 @@ class CompiledScenario:
                 n_pes=self.n_pes if n_pes is None else n_pes,
                 lookahead=model.lookahead,
                 seed=seed,
-                executor=executor,
             )
             return run_conservative(
                 model, ccfg, tracer=tracer, metrics=metrics, spans=spans,

@@ -28,15 +28,10 @@ from repro.hotpotato.router import RouterLP
         ({"rollback": "undo"}, "rollback must be one of 'reverse', 'copy'"),
         ({"transport": "carrier"}, "transport must be one of 'immediate'"),
         ({"mapping": "diagonal"}, "mapping must be one of 'block'"),
-        (
-            {"parallelism": "process", "procs": 2, "n_pes": 4, "n_kps": 4,
-             "executor": "vectorized"},
-            "parallelism='process' with executor='vectorized'",
-        ),
     ],
     ids=[
         "gvt", "gvt-incremental", "queue-ladder", "queue-splay", "rollback",
-        "transport", "mapping", "process-vectorized",
+        "transport", "mapping",
     ],
 )
 def test_engine_config_refuses_unknown_or_removed_names(overrides, message):

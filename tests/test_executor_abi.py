@@ -3,12 +3,16 @@
 The contract (docs/KERNEL.md, "Executor ABI & vectorized stepping"): for
 every engine, golden seed, fault plan and checkpoint kill/resume
 combination, ``executor="vectorized"`` must commit exactly the event
-sequence the scalar executor commits.  Two observation levels:
+sequence the scalar executor commits.  Both modes run the one router
+population; the executor only decides whether the Time Warp kernel asks
+the model for its fused band plan.  The conservative engine has no fused
+stepper and no executor knob, so its two cells run the same
+configuration.  Two observation levels:
 
 * **Committed sequence** — with a :class:`~repro.core.trace.Tracer`
   attached the Time Warp kernel keeps its generic execute path, so this
-  level exercises the SoA LPs' scalar handlers event by event and
-  compares the full committed ``(ts, lp, seq, kind)`` sequence.
+  level exercises the routers' handlers event by event and compares the
+  full committed ``(ts, lp, seq, kind)`` sequence.
 * **Committed fingerprint** — without a tracer the kernel installs the
   fused band-stepping batch (the true vectorized fast path); the
   model statistics include per-router event fingerprints, so any
@@ -62,7 +66,7 @@ def _engine(engine: str, executor: str, seed: int, faulted: bool):
     if engine == "cons":
         ccfg = ConservativeConfig(
             end_time=DURATION, n_pes=4, sync="yawns", seed=seed,
-            lookahead=model.lookahead, executor=executor,
+            lookahead=model.lookahead,
         )
         return ConservativeKernel(model, ccfg)
     ecfg = EngineConfig(
@@ -118,7 +122,7 @@ def test_committed_fingerprint_identical_untraced(engine, seed, faulted):
     {"rollback": "copy"},
 ], ids=["lazy", "copy"])
 def test_vectorized_across_scheduler_structures(overrides):
-    """The SoA population commits identically under every scheduler
+    """The vectorized executor commits identically under every scheduler
     structure — including the lazy/copy configurations where the kernel
     falls back from the fused band batch to the scalar batch."""
     def run(executor):
@@ -137,8 +141,8 @@ def test_vectorized_across_scheduler_structures(overrides):
 @pytest.mark.parametrize("engine", ["seq", "opt"])
 def test_vectorized_checkpoint_kill_resume(tmp_path, engine):
     """Kill at every snapshot boundary, resume, and land on the scalar
-    oracle's exact committed statistics (SoA state round-trips through
-    the snapshot format)."""
+    oracle's exact committed statistics (the shared router arrays
+    round-trip through the snapshot format)."""
     seed = GOLDEN_SEEDS[0]
     oracle = _engine(engine, "scalar", seed, False).run()
     marker = {"case": f"vec-{engine}"}
@@ -170,27 +174,44 @@ def test_vectorized_checkpoint_kill_resume(tmp_path, engine):
         )
 
 
-def test_cross_executor_resume_refused(tmp_path):
-    """A snapshot only restores into the executor mode that wrote it:
-    the scalar and SoA populations carry different event-payload layouts,
-    so a cross-mode restore is refused up front rather than failing
-    somewhere inside a handler."""
-    from repro.errors import SnapshotError
-
+@pytest.mark.parametrize(
+    "written, resumed",
+    [("vectorized", "scalar"), ("scalar", "vectorized")],
+)
+def test_cross_executor_resume_accepted(tmp_path, written, resumed):
+    """Both executors run one population with one payload format, so a
+    snapshot written under either resumes under the other and lands on
+    the oracle's committed statistics."""
     seed = GOLDEN_SEEDS[0]
+    oracle = _engine("seq", "scalar", seed, False).run()
     marker = {"case": "cross"}
     snap_dir = tmp_path / "snaps"
     ckpt = Checkpointer(snap_dir, every=1, marker=marker, seq_events=64)
-    _engine("opt", "vectorized", seed, False).attach_checkpointer(ckpt).run()
+    _engine("opt", written, seed, False).attach_checkpointer(ckpt).run()
     snaps = list_snapshots(snap_dir)
     mid = snaps[len(snaps) // 2]
-    d = tmp_path / "resume_scalar"
+    d = tmp_path / "resume"
     d.mkdir()
     shutil.copy(mid, d / mid.name)
     ck = Checkpointer(d, every=1 << 30, marker=marker, seq_events=64)
     ck.load_latest()
-    with pytest.raises(SnapshotError, match="executor"):
-        _engine("opt", "scalar", seed, False).attach_checkpointer(ck)
+    resumed_run = _engine("opt", resumed, seed, False).attach_checkpointer(ck).run()
+    assert resumed_run.model_stats == oracle.model_stats
+    assert resumed_run.run.committed == oracle.run.committed
+
+
+def test_old_payload_format_refused():
+    """A snapshot of an older payload format is refused by name."""
+    from repro.ckpt.state import PAYLOAD_FORMAT
+    from repro.errors import SnapshotError
+
+    eng = _engine("opt", "scalar", GOLDEN_SEEDS[0], False)
+    payload = eng.snapshot()
+    payload["format"] = PAYLOAD_FORMAT - 1
+    with pytest.raises(
+        SnapshotError, match=f"payload format {PAYLOAD_FORMAT - 1} "
+    ):
+        _engine("opt", "scalar", GOLDEN_SEEDS[0], False).restore(payload)
 
 
 def test_vectorized_declines_without_plan():
@@ -214,9 +235,11 @@ def test_vectorized_declines_without_plan():
 
 def test_vectorized_declines_on_mesh():
     """The hot-potato plan only covers the torus band layout; a mesh
-    model runs the vectorized executor as scalar SoA-free fallback."""
+    model runs the vectorized executor through the scalar batch."""
     cfg = HotPotatoConfig(n=N, duration=DURATION, torus=False)
-    assert HotPotatoModel(cfg).build_vectorized() is None
+    model = HotPotatoModel(cfg)
+    assert model.vector_plan(model.build()) is None
+    assert "torus" in model.soa_decline_reason
     ecfg = EngineConfig(
         end_time=DURATION, n_pes=4, n_kps=16, seed=7, executor="vectorized"
     )

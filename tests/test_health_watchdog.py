@@ -55,6 +55,11 @@ class _FakeEvent:
         self.data = data
 
 
+def _packet(inject_step):
+    """A hot-potato packet payload (step, dest, priority, inject_step, ...)."""
+    return (inject_step + 1, 0, 0, inject_step, 0.25, 1, 0)
+
+
 class _FakeEngine:
     """Just enough surface for bind() + boundary_sequential()."""
 
@@ -170,8 +175,8 @@ def test_livelock_trips_on_overage_packet_population():
         HealthConfig(livelock_bound=10.0, livelock_check_every=1,
                      ladder=("abort",)),
     )
-    old = _FakeEvent({"inject_step": 0})
-    fresh = _FakeEvent({"inject_step": 19})
+    old = _FakeEvent(_packet(inject_step=0))
+    fresh = _FakeEvent(_packet(inject_step=19))
     engine = _FakeEngine(pending=[fresh, old])
     wd.bind(engine)
     with pytest.raises(HealthIntervention) as exc_info:
@@ -187,7 +192,7 @@ def test_livelock_scan_is_paced():
         HealthConfig(livelock_bound=10.0, livelock_check_every=8,
                      ladder=("abort",)),
     )
-    engine = _FakeEngine(pending=[_FakeEvent({"inject_step": 0})])
+    engine = _FakeEngine(pending=[_FakeEvent(_packet(inject_step=0))])
     wd.bind(engine)
     for _ in range(7):  # boundaries 1..7: no scan yet
         wd.boundary_sequential(engine, 100.0)

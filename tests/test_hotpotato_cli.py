@@ -34,12 +34,37 @@ def test_parallel_run(capsys):
 def test_validate_cross_engine(capsys):
     rc = main(["--n", "4", "--duration", "20", "--kps", "8", "--validate"])
     assert rc == 0
-    assert "IDENTICAL" in capsys.readouterr().out
+    assert "IDENTICAL (vs optimistic)" in capsys.readouterr().out
+
+
+def test_validate_process_mode_checks_against_the_oracle(capsys, monkeypatch):
+    """An optimistic main run on one PE (--procs 1) is checked against the
+    sequential oracle, not against a second optimistic run."""
+    from repro.hotpotato.simulation import HotPotatoSimulation
+
+    oracle_runs = []
+    run = HotPotatoSimulation.run
+
+    def counting_run(self, **kwargs):
+        oracle_runs.append(kwargs)
+        return run(self, **kwargs)
+
+    monkeypatch.setattr(HotPotatoSimulation, "run", counting_run)
+    rc = main(
+        ["--n", "4", "--duration", "12", "--kps", "4", "--processors", "1",
+         "--procs", "1", "--validate"]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "engine=optimistic (1 PE" in out
+    assert len(oracle_runs) == 1
+    assert "IDENTICAL (vs sequential)" in out
 
 
 def test_mesh_and_proof_mode(capsys):
     rc = main(
-        ["--n", "4", "--duration", "20", "--mesh", "--no-absorb-sleeping"]
+        ["--n", "4", "--duration", "20", "--topology", "mesh",
+         "--no-absorb-sleeping"]
     )
     assert rc == 0
     assert "4x4 mesh" in capsys.readouterr().out

@@ -14,6 +14,7 @@ from repro.hotpotato.router import (
     ROUTE,
     RouterLP,
 )
+from repro.hotpotato.stats import RouterStats
 from repro.net import Direction, TorusTopology
 from repro.rng.streams import ReversibleStream
 from repro.vt.time import EventKey
@@ -24,15 +25,28 @@ def setup():
     cfg = HotPotatoConfig(n=4, duration=50.0)
     topo = TorusTopology(4)
     sends = []
-    lp = RouterLP(5, cfg, topo, BuschHotPotatoPolicy(), is_injector=True)
+    n = topo.num_nodes
+    lp = RouterLP(
+        5, cfg, topo, BuschHotPotatoPolicy(), True,
+        [-1] * (4 * n), [0] * n, RouterStats(),
+    )
     lp.bind(ReversibleStream(11, 5), lambda src, ev: sends.append(ev))
     return lp, sends, topo, cfg
 
 
+def claims(lp):
+    """This router's four link-claim slots of the shared array."""
+    return lp.links[lp.base : lp.base + 4]
+
+
+def set_claims(lp, values):
+    lp.links[lp.base : lp.base + 4] = values
+
+
 def state_of(lp):
     return (
-        tuple(lp.links),
-        lp.head_gen_step,
+        tuple(claims(lp)),
+        lp.head_gen[lp.id],
         lp.stats.signature(),
         lp.rng.checkpoint(),
         lp.send_seq,
@@ -58,15 +72,7 @@ def undo(lp, ev):
 
 
 def packet_data(step, dest, priority=Priority.SLEEPING, inject_step=0, jitter=0.25, distance=1, src=0):
-    return {
-        "step": step,
-        "dest": dest,
-        "priority": int(priority),
-        "inject_step": inject_step,
-        "jitter": jitter,
-        "distance": distance,
-        "src": src,
-    }
+    return (step, dest, int(priority), inject_step, jitter, distance, src)
 
 
 # ----------------------------------------------------------------------
@@ -130,11 +136,11 @@ def test_route_claims_link_and_forwards(setup):
     lp, sends, topo, cfg = setup
     dest = topo.neighbor(topo.neighbor(lp.id, Direction.EAST), Direction.EAST)
     ev = execute(lp, ROUTE, packet_data(step=4, dest=dest), ts=4.75)
-    assert lp.links[Direction.EAST] == 4
+    assert claims(lp)[Direction.EAST] == 4
     (arrive,) = sends
     assert arrive.kind == ARRIVE
     assert arrive.dst == topo.neighbor(lp.id, Direction.EAST)
-    assert arrive.data["step"] == 5
+    assert arrive.data[0] == 5
     assert arrive.ts == pytest.approx(5.25)
     assert lp.stats.routes == 1
 
@@ -142,7 +148,7 @@ def test_route_claims_link_and_forwards(setup):
 def test_route_respects_claimed_links(setup):
     lp, sends, topo, cfg = setup
     dest = topo.neighbor(lp.id, Direction.EAST)
-    lp.links[Direction.EAST] = 4  # claimed this step
+    lp.links[lp.base + Direction.EAST] = 4  # claimed this step
     ev = execute(lp, ROUTE, packet_data(step=4, dest=dest, priority=Priority.ACTIVE), ts=4.7)
     (arrive,) = sends
     assert arrive.dst != dest  # deflected somewhere else
@@ -155,7 +161,7 @@ def test_route_with_no_free_link_overflows_reversibly(setup):
     # and the whole thing reverses exactly.
     lp, sends, topo, cfg = setup
     before_links = [9, 9, 9, 9]
-    lp.links = list(before_links)
+    set_claims(lp, before_links)
     before = state_of(lp)
     ev = execute(lp, ROUTE, packet_data(step=9, dest=0), ts=9.7)
     assert lp.stats.overflow_routes == 1
@@ -163,7 +169,7 @@ def test_route_with_no_free_link_overflows_reversibly(setup):
     assert len(sends) == 1  # the packet still goes somewhere
     undo(lp, ev)
     assert state_of(lp) == before
-    assert lp.links == before_links
+    assert claims(lp) == before_links
 
 
 def test_route_reverse_restores_exactly(setup):
@@ -192,22 +198,22 @@ def test_route_reverse_after_upgrade_restores_stats(setup):
 # ----------------------------------------------------------------------
 def test_inject_sends_packet_and_chains(setup):
     lp, sends, topo, cfg = setup
-    ev = execute(lp, INJECT, {"step": 0}, ts=0.9)
+    ev = execute(lp, INJECT, 0, ts=0.9)
     kinds = sorted(e.kind for e in sends)
     assert kinds == sorted([INJECT, ARRIVE])
     assert lp.stats.injected == 1
-    assert lp.head_gen_step == 1
+    assert lp.head_gen[lp.id] == 1
     assert lp.stats.total_inject_wait == 0  # injected the step it was born
     arrive = next(e for e in sends if e.kind == ARRIVE)
-    assert arrive.data["priority"] == int(Priority.SLEEPING)
-    assert arrive.data["inject_step"] == 0
-    assert arrive.data["dest"] != lp.id
+    assert arrive.data[2] == int(Priority.SLEEPING)
+    assert arrive.data[3] == 0
+    assert arrive.data[1] != lp.id
 
 
 def test_inject_blocked_when_all_links_claimed(setup):
     lp, sends, topo, cfg = setup
-    lp.links = [3, 3, 3, 3]
-    execute(lp, INJECT, {"step": 3}, ts=3.9)
+    set_claims(lp, [3, 3, 3, 3])
+    execute(lp, INJECT, 3, ts=3.9)
     assert lp.stats.injected == 0
     assert lp.stats.inject_blocked == 1
     assert [e.kind for e in sends] == [INJECT]  # only the chain continues
@@ -215,10 +221,10 @@ def test_inject_blocked_when_all_links_claimed(setup):
 
 def test_inject_wait_measured_from_generation(setup):
     lp, sends, topo, cfg = setup
-    lp.links = [5, 5, 5, 5]
-    execute(lp, INJECT, {"step": 5}, ts=5.9)  # blocked
-    lp.links = [5, 5, 5, 5]  # still claimed for step 5, free at 6
-    execute(lp, INJECT, {"step": 6}, ts=6.9)
+    set_claims(lp, [5, 5, 5, 5])
+    execute(lp, INJECT, 5, ts=5.9)  # blocked
+    set_claims(lp, [5, 5, 5, 5])  # still claimed for step 5, free at 6
+    execute(lp, INJECT, 6, ts=6.9)
     assert lp.stats.injected == 1
     assert lp.stats.total_inject_wait == 6  # head generated at step 0
     assert lp.stats.max_inject_wait == 6
@@ -226,8 +232,8 @@ def test_inject_wait_measured_from_generation(setup):
 
 def test_inject_nothing_pending(setup):
     lp, sends, topo, cfg = setup
-    lp.head_gen_step = 1  # already injected the step-0 packet
-    execute(lp, INJECT, {"step": 0}, ts=0.9)
+    lp.head_gen[lp.id] = 1  # already injected the step-0 packet
+    execute(lp, INJECT, 0, ts=0.9)
     assert lp.stats.injected == 0
     assert [e.kind for e in sends] == [INJECT]
 
@@ -236,9 +242,9 @@ def test_inject_nothing_pending(setup):
 def test_inject_reverse_restores_exactly(setup, blocked):
     lp, sends, topo, cfg = setup
     if blocked:
-        lp.links = [2, 2, 2, 2]
+        set_claims(lp, [2, 2, 2, 2])
     before = state_of(lp)
-    ev = execute(lp, INJECT, {"step": 2}, ts=2.9)
+    ev = execute(lp, INJECT, 2, ts=2.9)
     undo(lp, ev)
     assert state_of(lp) == before
 
@@ -248,8 +254,8 @@ def test_inject_reverse_restores_exactly(setup, blocked):
 # ----------------------------------------------------------------------
 def test_init_fills_all_links_and_chains_inject(setup):
     lp, sends, topo, cfg = setup
-    ev = execute(lp, INIT, {}, ts=0.1)
-    assert lp.links == [0, 0, 0, 0]
+    ev = execute(lp, INIT, None, ts=0.1)
+    assert claims(lp) == [0, 0, 0, 0]
     arrives = [e for e in sends if e.kind == ARRIVE]
     assert len(arrives) == 4
     assert {e.dst for e in arrives} == set(topo.neighbors(lp.id))
@@ -260,23 +266,23 @@ def test_init_fills_all_links_and_chains_inject(setup):
 def test_init_zero_fill(setup):
     lp, sends, topo, cfg = setup
     lp.cfg = HotPotatoConfig(n=4, duration=50.0, initial_fill=0.0)
-    execute(lp, INIT, {}, ts=0.1)
-    assert lp.links == [-1, -1, -1, -1]
+    execute(lp, INIT, None, ts=0.1)
+    assert claims(lp) == [-1, -1, -1, -1]
     assert lp.stats.initial_packets == 0
 
 
 def test_init_reverse_restores_exactly(setup):
     lp, sends, topo, cfg = setup
     before = state_of(lp)
-    ev = execute(lp, INIT, {}, ts=0.1)
+    ev = execute(lp, INIT, None, ts=0.1)
     undo(lp, ev)
     assert state_of(lp) == before
 
 
 def test_heartbeat_samples_utilization(setup):
     lp, sends, topo, cfg = setup
-    lp.links = [6, 6, -1, 2]  # two links claimed at step 6
-    ev = execute(lp, HEARTBEAT, {"step": 6}, ts=6.95)
+    set_claims(lp, [6, 6, -1, 2])  # two links claimed at step 6
+    ev = execute(lp, HEARTBEAT, 6, ts=6.95)
     assert lp.stats.util_claimed == 2
     assert lp.stats.util_samples == 4
     assert [e.kind for e in sends] == [HEARTBEAT]
@@ -290,11 +296,11 @@ def test_heartbeat_samples_utilization(setup):
 # ----------------------------------------------------------------------
 def test_snapshot_restore_roundtrip(setup):
     lp, sends, topo, cfg = setup
-    execute(lp, INIT, {}, ts=0.1)
+    execute(lp, INIT, None, ts=0.1)
     snap = lp.snapshot_state()
-    execute(lp, INJECT, {"step": 1}, ts=1.9)
+    execute(lp, INJECT, 1, ts=1.9)
     lp.restore_state(snap)
-    assert lp.links == [0, 0, 0, 0]
-    assert lp.head_gen_step == 0
+    assert claims(lp) == [0, 0, 0, 0]
+    assert lp.head_gen[lp.id] == 0
     assert lp.stats.injected == 0
     assert lp.stats.initial_packets == 4

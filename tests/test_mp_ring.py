@@ -153,31 +153,34 @@ def test_ring_minimum_size_enforced():
 # EventCodec.
 # ----------------------------------------------------------------------
 _SCHEMA = {
-    "arrive": (("packet", "I"), ("jitter", "d")),
-    "tick": (),
+    "arrive": "Id",
+    "step": "i",
+    "tick": "",
 }
 
 
-def _event(ts=3.25, origin=7, seq=11, dst=5, kind="arrive", data=None):
+def _event(ts=3.25, origin=7, seq=11, dst=5, kind="arrive", data=(42, 0.5)):
     return Event(EventKey(ts, origin, seq), dst, kind, data)
 
 
 def test_codec_positive_roundtrip_with_float_payload():
     codec = EventCodec(_SCHEMA)
-    ev = _event(data={"packet": 42, "jitter": 0.1 + 0.2})  # not exactly 0.3
+    ev = _event(data=(42, 0.1 + 0.2))  # not exactly 0.3
     frame = codec.encode_event(ev, uid=909)
     assert frame[0] == POSITIVE
     tag, uid, ts, origin, seq, dst, kind, data = codec.decode(frame)
     assert (tag, uid, kind) == ("pos", 909, "arrive")
     assert (ts, origin, seq, dst) == (3.25, 7, 11, 5)
-    assert data["packet"] == 42
-    assert data["jitter"] == 0.1 + 0.2  # f64 exact through the wire
+    assert data == (42, 0.1 + 0.2)  # f64 exact through the wire
+    # A one-field format carries a bare scalar, not a 1-tuple.
+    frame = codec.encode_event(_event(kind="step", data=17), uid=910)
+    assert codec.decode(frame)[7] == 17
 
 
 def test_codec_payloadless_kind_roundtrip():
     codec = EventCodec(_SCHEMA)
-    frame = codec.encode_event(_event(kind="tick"), uid=13)
-    assert codec.decode(frame) == ("pos", 13, 3.25, 7, 11, 5, "tick", {})
+    frame = codec.encode_event(_event(kind="tick", data=None), uid=13)
+    assert codec.decode(frame) == ("pos", 13, 3.25, 7, 11, 5, "tick", None)
 
 
 def test_codec_anti_roundtrip():
@@ -202,16 +205,16 @@ def test_codec_matches_hotpotato_model_schema():
     carry its cross-worker kind (ARRIVE) losslessly."""
     from repro.hotpotato.config import HotPotatoConfig
     from repro.hotpotato.model import HotPotatoModel
+    from repro.hotpotato.router import ARRIVE, INJECT
 
     model = HotPotatoModel(HotPotatoConfig(n=4))
     codec = EventCodec(model.mp_event_schema())
-    schema = model.mp_event_schema()
-    kind = sorted(schema)[0]
-    data = {name: 1 for name, _ in schema[kind]}
-    ev = _event(kind=kind, data=data)
-    decoded = codec.decode(codec.encode_event(ev, uid=5))
-    assert decoded[6] == kind
-    assert decoded[7] == data
+    packet = (5, 9, 3, 2, 0.1 + 0.2, 4, 1)
+    decoded = codec.decode(codec.encode_event(_event(kind=ARRIVE, data=packet), uid=5))
+    assert decoded[6] == ARRIVE
+    assert decoded[7] == packet
+    decoded = codec.decode(codec.encode_event(_event(kind=INJECT, data=6), uid=6))
+    assert decoded[7] == 6
 
 
 # ----------------------------------------------------------------------
