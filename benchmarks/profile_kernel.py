@@ -2,7 +2,10 @@
 
 Per the optimisation workflow (measure before optimising), this script
 profiles a representative hot-potato run on any engine and prints the top
-functions by cumulative time::
+functions by cumulative time.  The run goes through
+``HotPotatoSimulation.run`` like every other tool's; its engine defaults
+put the conservative engine on 4 PEs and Time Warp on 4 PEs, 16 KPs and
+batch 64::
 
     python benchmarks/profile_kernel.py [--engine optimistic] [--seed 1]
                                         [--sort tottime] [--lines 25]
@@ -32,12 +35,8 @@ import argparse
 import cProfile
 import pstats
 
-from repro.core.config import EngineConfig
-from repro.core.conservative import ConservativeConfig, run_conservative
-from repro.core.engine import run_sequential
-from repro.core.optimistic import run_optimistic
 from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
+from repro.hotpotato.simulation import HotPotatoSimulation
 from repro.obs.capture import RunCapture
 
 
@@ -88,7 +87,17 @@ def main() -> None:
     args = parser.parse_args()
 
     cfg = HotPotatoConfig(n=args.n, duration=args.duration, injector_fraction=1.0)
-    model = HotPotatoModel(cfg)
+    sim = HotPotatoSimulation(
+        cfg,
+        seed=args.seed,
+        engine_defaults={
+            "n_pes": 4,
+            "n_kps": 16,
+            "batch_size": 64,
+            "cancellation": args.cancellation,
+            "executor": args.executor,
+        },
+    )
     capture = RunCapture(
         metrics_out=args.metrics_out,
         spans_out=args.spans_out,
@@ -103,26 +112,7 @@ def main() -> None:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    if args.engine == "sequential":
-        result = run_sequential(
-            model, cfg.duration, seed=args.seed, executor=args.executor,
-            metrics=capture.metrics, spans=capture.spans,
-        )
-    elif args.engine == "conservative":
-        ccfg = ConservativeConfig(
-            end_time=cfg.duration, n_pes=4, sync="yawns", seed=args.seed
-        )
-        result = run_conservative(
-            model, ccfg, metrics=capture.metrics, spans=capture.spans,
-        )
-    else:
-        ecfg = EngineConfig(
-            end_time=cfg.duration, n_pes=4, n_kps=16, batch_size=64, seed=args.seed,
-            cancellation=args.cancellation, executor=args.executor,
-        )
-        result = run_optimistic(
-            model, ecfg, metrics=capture.metrics, spans=capture.spans,
-        )
+    result = sim.run(args.engine, metrics=capture.metrics, spans=capture.spans)
     profiler.disable()
     capture.finalize(result)
     if args.metrics_out or args.spans_out:

@@ -171,80 +171,39 @@ def derive_recipe(campaign_seed: int, episode: int) -> EpisodeRecipe:
 
 
 # ----------------------------------------------------------------------
-# Engine construction.
+# Workload.
 # ----------------------------------------------------------------------
-def _make_model(recipe: EpisodeRecipe, *, delivery_log: bool = False):
-    from repro.faults import generate_plan
+def _simulation(recipe: EpisodeRecipe):
+    """The recipe's workload.  Its engines run on 2 PEs; Time Warp adds
+    8 KPs and a batch of 16."""
+    from repro.faults import plan_from_spec
     from repro.hotpotato.config import HotPotatoConfig
-    from repro.hotpotato.model import HotPotatoModel
-    from repro.net import TorusTopology
+    from repro.hotpotato.simulation import HotPotatoSimulation
 
-    topo = TorusTopology(recipe.n)
-    plan = None
-    if recipe.fault is not None:
-        plan = generate_plan(
-            topo,
-            duration=recipe.duration,
-            link_fail_rate=recipe.fault["link_rate"],
-            seed=recipe.fault["seed"],
-        )
-    injection = None
-    if recipe.adversary is not None:
-        from repro.scenarios import generate_injection_plan
-
-        injection = generate_injection_plan(
-            topo,
-            strategy=recipe.adversary["strategy"],
-            duration=recipe.duration,
-            rate=recipe.adversary["rate"],
-            seed=recipe.adversary["seed"],
-        )
     cfg = HotPotatoConfig(
         n=recipe.n,
         duration=recipe.duration,
         injector_fraction=recipe.load,
     )
-    return HotPotatoModel(
+    injection = None
+    if recipe.adversary is not None:
+        from repro.net import TorusTopology
+        from repro.scenarios import generate_injection_plan
+
+        injection = generate_injection_plan(
+            TorusTopology(recipe.n),
+            strategy=recipe.adversary["strategy"],
+            duration=recipe.duration,
+            rate=recipe.adversary["rate"],
+            seed=recipe.adversary["seed"],
+        )
+    return HotPotatoSimulation(
         cfg,
-        fault_plan=plan,
+        seed=recipe.seed,
+        fault_plan=plan_from_spec(recipe.fault, cfg),
         injection_plan=injection,
+        engine_defaults={"n_pes": 2, "n_kps": 8, "batch_size": 16},
     )
-
-
-def _build_engine(kind: str, recipe: EpisodeRecipe):
-    """A fresh, fully configured engine of ``kind`` over the recipe."""
-    model = _make_model(recipe)
-    if kind == "sequential":
-        from repro.core.engine import SequentialEngine
-
-        return SequentialEngine(model, recipe.duration, seed=recipe.seed)
-    if kind == "conservative":
-        from repro.core.conservative import ConservativeConfig, ConservativeKernel
-
-        return ConservativeKernel(
-            model,
-            ConservativeConfig(
-                end_time=recipe.duration,
-                n_pes=2,
-                seed=recipe.seed,
-                lookahead=model.lookahead,
-            ),
-        )
-    if kind == "optimistic":
-        from repro.core.config import EngineConfig
-        from repro.core.optimistic import TimeWarpKernel
-
-        return TimeWarpKernel(
-            model,
-            EngineConfig(
-                end_time=recipe.duration,
-                n_pes=2,
-                n_kps=8,
-                batch_size=16,
-                seed=recipe.seed,
-            ),
-        )
-    raise ValueError(f"unknown engine kind {kind!r}")
 
 
 def _conservation(engine) -> str | None:
@@ -300,7 +259,11 @@ def _commit_lines(path: Path) -> list[tuple]:
 
 
 def _episode_kill_resume(
-    recipe: EpisodeRecipe, work_dir: Path, baseline_sequence, result: EpisodeResult
+    recipe: EpisodeRecipe,
+    sim,
+    work_dir: Path,
+    baseline_sequence,
+    result: EpisodeResult,
 ) -> None:
     """Interrupt an optimistic run at a seeded boundary, resume, compare."""
     from repro.ckpt import Checkpointer, list_snapshots
@@ -313,7 +276,7 @@ def _episode_kill_resume(
     ckpt = Checkpointer(ckpt_dir, every=4, marker=marker)
     _KillSwitch(ckpt, recipe.strike_boundary).arm()
     capture = RunCapture(trace_out=trace_path, meta={"engine": "opt"})
-    engine = _build_engine("optimistic", recipe)
+    engine = sim.engine("optimistic")
     capture.attach(engine)
     engine.attach_checkpointer(ckpt)
     ckpt.capture = capture
@@ -342,7 +305,7 @@ def _episode_kill_resume(
     resume = Checkpointer(ckpt_dir, every=4, marker=marker)
     payload = resume.load_latest()
     cap2 = RunCapture.resume(payload.get("obs"))
-    engine2 = _build_engine("optimistic", recipe)
+    engine2 = sim.engine("optimistic")
     cap2.attach(engine2)
     engine2.attach_checkpointer(resume)
     resume.capture = cap2
@@ -362,6 +325,7 @@ def _episode_kill_resume(
 
 def _episode_watchdog(
     recipe: EpisodeRecipe,
+    sim,
     work_dir: Path,
     baseline_sequence,
     baseline_stats,
@@ -394,7 +358,7 @@ def _episode_watchdog(
     tracers: dict[int, Tracer] = {}
 
     def build(kind):
-        engine = _build_engine(kind, recipe)
+        engine = sim.engine(kind)
         tracer = Tracer()
         engine.attach_tracer(tracer)
         tracers[id(engine)] = tracer
@@ -447,10 +411,11 @@ def run_episode(recipe: EpisodeRecipe, work_dir: str | Path) -> EpisodeResult:
     start = time.perf_counter()
 
     # Invariant 1: the sequential oracle and the optimistic kernel agree.
+    sim = _simulation(recipe)
     seq_tracer, opt_tracer = Tracer(), Tracer()
-    seq_engine = _build_engine("sequential", recipe).attach_tracer(seq_tracer)
+    seq_engine = sim.engine("sequential").attach_tracer(seq_tracer)
     seq_res = seq_engine.run()
-    opt_engine = _build_engine("optimistic", recipe).attach_tracer(opt_tracer)
+    opt_engine = sim.engine("optimistic").attach_tracer(opt_tracer)
     opt_res = opt_engine.run()
     baseline_sequence = opt_tracer.committed_sequence()
     result.committed = opt_res.run.committed
@@ -469,10 +434,11 @@ def run_episode(recipe: EpisodeRecipe, work_dir: str | Path) -> EpisodeResult:
 
     # Invariants 3/4: the episode's disturbance must be survivable.
     if recipe.disturbance == "kill_resume":
-        _episode_kill_resume(recipe, work_dir, baseline_sequence, result)
+        _episode_kill_resume(recipe, sim, work_dir, baseline_sequence, result)
     elif recipe.disturbance in ("watchdog_restore", "watchdog_fallback"):
         _episode_watchdog(
-            recipe, work_dir, baseline_sequence, opt_res.model_stats, result
+            recipe, sim, work_dir, baseline_sequence, opt_res.model_stats,
+            result,
         )
 
     result.elapsed = time.perf_counter() - start

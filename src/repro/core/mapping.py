@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.rng.lcg import splitmix64
 
-__all__ = ["Mapping", "build_mapping", "balanced_tile_counts"]
+__all__ = ["Mapping", "build_mapping", "balanced_tile_counts", "kp_count_for"]
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,35 @@ def balanced_tile_counts(n: int) -> tuple[int, int]:
     while n % r:
         r -= 1
     return r, n // r
+
+
+def kp_count_for(n: int, requested: int, n_pes: int) -> int:
+    """Largest KP count <= ``requested`` whose block mapping tiles n×n.
+
+    Block mapping needs the balanced factorisation of the KP count to tile
+    the grid and the PE count to tile the KPs.  Grids of any size (a 6×6
+    mesh, say) and any PE count get the nearest count that fits instead
+    of a mapping error at kernel construction.
+    """
+
+    def fits(k: int) -> bool:
+        if k < n_pes or k % n_pes or k > n * n:
+            return False
+        kr, kc = balanced_tile_counts(k)
+        if n % kr or n % kc:
+            return False
+        pr, pc = balanced_tile_counts(n_pes)
+        return kr % pr == 0 and kc % pc == 0
+
+    k = requested
+    while k >= n_pes:
+        if fits(k):
+            return k
+        k -= 1
+    raise ConfigurationError(
+        f"no KP count <= {requested} tiles a {n}x{n} grid on {n_pes} PEs; "
+        "pick the KP and PE counts explicitly"
+    )
 
 
 def _block_mapping(rows: int, cols: int, n_kps: int, n_pes: int) -> Mapping:

@@ -15,7 +15,6 @@ and null messages for the conservative flavours) and cost-model event rate.
 
 from __future__ import annotations
 
-from repro.core.conservative import ConservativeConfig, ConservativeKernel
 from repro.experiments.common import (
     SweepParams,
     kp_count_for,
@@ -23,7 +22,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.report import Table
 from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
+from repro.hotpotato.simulation import HotPotatoSimulation
 
 __all__ = ["run"]
 
@@ -46,8 +45,9 @@ def run(params: SweepParams) -> Table:
     )
     rates: dict[int, dict[str, float]] = {}
     for n in params.sizes:
-        hcfg = HotPotatoConfig(
-            n=n, duration=params.duration, injector_fraction=1.0
+        sim = HotPotatoSimulation(
+            HotPotatoConfig(n=n, duration=params.duration, injector_fraction=1.0),
+            seed=params.seed,
         )
         # Time Warp.
         tw = run_hotpotato_parallel(
@@ -72,16 +72,7 @@ def run(params: SweepParams) -> Table:
         rates.setdefault(n, {})["time-warp"] = tw.run.event_rate
         # Conservative flavours.
         for sync in ("yawns", "null"):
-            kernel = ConservativeKernel(
-                HotPotatoModel(hcfg),
-                ConservativeConfig(
-                    end_time=params.duration,
-                    n_pes=N_PES,
-                    sync=sync,
-                    mapping="block",
-                    seed=params.seed,
-                ),
-            )
+            kernel = sim.engine("conservative", n_pes=N_PES, sync=sync)
             result = kernel.run()
             table.add_row(
                 n,

@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.core.config import EngineConfig
-from repro.core.engine import run_sequential
-from repro.core.optimistic import run_optimistic
+from repro.core.mapping import kp_count_for
 from repro.core.result import RunResult
-from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
 
 __all__ = [
     "SweepParams",
     "run_hotpotato_sequential",
     "run_hotpotato_parallel",
     "run_scenario_point",
+    "point_simulation",
+    "point_knobs",
+    "run_point_inline",
     "kp_count_for",
     "set_telemetry_dir",
     "set_supervisor",
@@ -94,19 +94,116 @@ def _telemetry_path(tag: str) -> str | None:
     return str(_TELEMETRY_DIR / f"{tag}.jsonl")
 
 
-def _supervised(spec: dict) -> RunResult:
-    doc = _SUPERVISOR.run_point(spec)
+def _supervised(spec: dict, tag: str) -> RunResult:
+    doc = _SUPERVISOR.run_point({
+        **spec, "telemetry": _telemetry_path(tag),
+        "checkpoint_every": _SUPERVISOR.cfg.checkpoint_every,
+    })
     # The child strips the LPs (their fused handlers don't pickle);
     # every experiment consumes only the statistics.
     return RunResult(model_stats=doc["model_stats"], run=doc["run"], lps=[])
 
 
-def _materialize_fault(fault, n: int, duration: float):
-    if not fault:
-        return None
-    from repro.experiments.pointworker import _materialize_fault_plan
+def _delivery_percentiles(log) -> dict:
+    """Nearest-rank latency percentiles of a ``(step, latency)`` log."""
+    if not log:
+        return {"latency_p50": 0.0, "latency_p95": 0.0, "latency_p99": 0.0}
+    latencies = sorted(latency for _, latency in log)
 
-    return _materialize_fault_plan(fault, n, duration)
+    def rank(q: float) -> float:
+        return float(latencies[max(0, math.ceil(q * len(latencies)) - 1)])
+
+    return {
+        "latency_p50": rank(0.50),
+        "latency_p95": rank(0.95),
+        "latency_p99": rank(0.99),
+    }
+
+
+def point_simulation(spec: dict):
+    """The workload a sweep-point spec describes, as a simulation.
+
+    A scenario spec recompiles its file and refuses to run if the file no
+    longer hashes to the recorded value; a plain spec is an n×n torus at
+    ``load`` with the spec's ``fault``.
+    """
+    scen = spec.get("scenario")
+    if scen is None:
+        from repro.faults import plan_from_spec
+        from repro.hotpotato.config import HotPotatoConfig
+        from repro.hotpotato.simulation import HotPotatoSimulation
+
+        cfg = HotPotatoConfig(
+            n=spec["n"], duration=spec["duration"], injector_fraction=spec["load"]
+        )
+        return HotPotatoSimulation(
+            cfg, fault_plan=plan_from_spec(spec.get("fault"), cfg)
+        )
+    from repro.scenarios import compile_scenario, load_scenario
+
+    compiled = compile_scenario(load_scenario(scen["path"]))
+    digest = compiled.scenario_hash()
+    want = scen.get("hash")
+    if want and digest != want:
+        raise ValueError(
+            f"scenario {scen['path']!r} hashes to {digest}, but the sweep "
+            f"manifest recorded {want}; the file changed since the sweep "
+            "was launched — refusing to compute a different experiment"
+        )
+    return compiled
+
+
+def point_knobs(spec: dict) -> dict:
+    """The engine knobs a sweep-point spec sets: its seed, plus the PE
+    count (conservative) or PE/KP/batch/window and overrides (optimistic)."""
+    knobs = {"seed": spec["seed"]}
+    if spec["kind"] == "cons":
+        knobs["n_pes"] = spec["n_pes"]
+    elif spec["kind"] == "opt":
+        knobs.update(
+            n_pes=spec["n_pes"],
+            n_kps=spec["n_kps"],
+            batch_size=spec.get("batch_size", 16),
+            window=spec.get("window"),
+            **(spec.get("overrides") or {}),
+        )
+    return knobs
+
+
+def run_point_inline(sim, spec: dict, *, capture=None, checkpointer=None):
+    """Build a sweep point's engine over ``sim``, attach, run it here.
+
+    Sequential scenario points keep a delivery log and add nearest-rank
+    latency percentiles (``latency_p50``/``_p95``/``_p99``) to
+    ``model_stats``.
+    """
+    percentiles = "scenario" in spec and spec["kind"] == "seq"
+    if percentiles:
+        sim.cfg = replace(sim.cfg, delivery_log=True)
+    engine = sim.engine(spec["kind"], **point_knobs(spec))
+    if capture is not None:
+        capture.attach(engine)
+    if checkpointer is not None:
+        engine.attach_checkpointer(checkpointer)
+        checkpointer.capture = capture
+    result = engine.run()
+    if percentiles:
+        result.model_stats.update(_delivery_percentiles(engine.model.delivery_log))
+    return result
+
+
+def _inline(spec: dict, tag: str, meta: dict) -> RunResult:
+    """Run a plain (non-scenario) point in this process."""
+    capture = _capture(tag, meta)
+    result = point_simulation(spec).run(
+        spec["kind"],
+        metrics=capture.metrics if capture is not None else None,
+        **point_knobs(spec),
+    )
+    if capture is not None:
+        capture.finalize(result)
+    return result
+
 
 #: Injection loads used by Figs 3 and 4 ("% Injecting Routers").
 DEFAULT_LOADS: tuple[float, ...] = (0.25, 0.50, 0.75, 1.00)
@@ -160,64 +257,26 @@ class SweepParams:
         return tuple(self.seed + i for i in range(self.replications))
 
 
-def kp_count_for(n: int, requested: int, n_pes: int) -> int:
-    """Largest usable KP count <= ``requested`` for an n×n grid.
-
-    Block mapping needs the balanced factorisation of the KP count to tile
-    the grid and the PE count to tile the KPs; powers of four (1, 4, 16,
-    64) tile any even grid, so we round down within that family when the
-    requested count does not fit.
-    """
-    from repro.core.mapping import balanced_tile_counts
-
-    def fits(k: int) -> bool:
-        if k < n_pes or k % n_pes or k > n * n:
-            return False
-        kr, kc = balanced_tile_counts(k)
-        if n % kr or n % kc:
-            return False
-        pr, pc = balanced_tile_counts(n_pes)
-        return kr % pr == 0 and kc % pc == 0
-
-    k = requested
-    while k >= n_pes:
-        if fits(k):
-            return k
-        k -= 1
-    raise ValueError(f"no usable KP count <= {requested} for n={n}, pes={n_pes}")
-
-
 def run_hotpotato_sequential(
     n: int, load: float, duration: float, seed: int, *, fault=None
 ) -> RunResult:
     """One sequential hot-potato run (the Fig 3/4 workhorse).
 
     ``fault`` is an optional JSON-shaped fault spec (``{"plan": path}``
-    or ``{"link_rate": r, "seed": s}``) so the run stays describable as
-    a supervisor sweep point; inline runs materialize it to a FaultPlan.
+    or ``{"link_rate": r, "seed": s}``, see
+    :func:`repro.faults.plan_from_spec`) so the run stays describable as
+    a supervisor sweep point.
     """
     tag = f"seq_n{n}_load{load:g}_d{duration:g}_s{seed}"
+    spec = {"kind": "seq", "n": n, "load": load, "duration": duration,
+            "seed": seed, "fault": fault}
     if _SUPERVISOR is not None:
-        return _supervised({
-            "kind": "seq", "n": n, "load": load, "duration": duration,
-            "seed": seed, "fault": fault, "telemetry": _telemetry_path(tag),
-            "checkpoint_every": _SUPERVISOR.cfg.checkpoint_every,
-        })
-    cfg = HotPotatoConfig(n=n, duration=duration, injector_fraction=load)
-    capture = _capture(
-        tag,
+        return _supervised(spec, tag)
+    return _inline(
+        spec, tag,
         {"engine": "sequential", "n": n, "load": load, "duration": duration,
          "seed": seed},
     )
-    result = run_sequential(
-        HotPotatoModel(cfg, fault_plan=_materialize_fault(fault, n, duration)),
-        duration,
-        seed=seed,
-        metrics=capture.metrics if capture is not None else None,
-    )
-    if capture is not None:
-        capture.finalize(result)
-    return result
 
 
 def run_hotpotato_parallel(
@@ -243,54 +302,29 @@ def run_hotpotato_parallel(
     if window is not None:
         batch_size = max(batch_size, 1 << 20)
     tag = f"opt_n{n}_load{load:g}_d{duration:g}_pe{n_pes}_kp{n_kps}_s{seed}"
+    spec = {
+        "kind": "opt", "n": n, "load": load, "duration": duration,
+        "seed": seed, "n_pes": n_pes, "n_kps": n_kps,
+        "batch_size": batch_size, "window": window,
+        "overrides": overrides or None, "fault": fault,
+    }
     if _SUPERVISOR is not None:
-        return _supervised({
-            "kind": "opt", "n": n, "load": load, "duration": duration,
-            "seed": seed, "n_pes": n_pes, "n_kps": n_kps,
-            "batch_size": batch_size, "window": window,
-            "overrides": overrides or None, "fault": fault,
-            "telemetry": _telemetry_path(tag),
-            "checkpoint_every": _SUPERVISOR.cfg.checkpoint_every,
-        })
-    cfg = HotPotatoConfig(n=n, duration=duration, injector_fraction=load)
+        return _supervised(spec, tag)
     if _PARALLELISM is not None and "parallelism" not in overrides:
         procs, gvt_interval = _PARALLELISM
         # A PE cannot be split across workers, so points whose PE count
         # doesn't tile over the processes stay in-process (results are
         # bit-identical either way).
         if n_pes % procs == 0:
-            overrides["parallelism"] = "process"
-            overrides["procs"] = procs
-            overrides.setdefault("gvt_interval", gvt_interval)
-    ecfg = EngineConfig(
-        end_time=duration,
-        n_pes=n_pes,
-        n_kps=n_kps,
-        batch_size=batch_size,
-        window=window,
-        seed=seed,
-        **overrides,
-    )
-    plan = _materialize_fault(fault, n, duration)
-    faults = None
-    if plan is not None and plan.has_engine_faults:
-        from repro.faults.injector import EngineFaults
-
-        faults = EngineFaults(plan)
-    capture = _capture(
-        tag,
+            spec["overrides"] = {
+                "gvt_interval": gvt_interval, **overrides,
+                "parallelism": "process", "procs": procs,
+            }
+    return _inline(
+        spec, tag,
         {"engine": "optimistic", "n": n, "load": load, "duration": duration,
          "n_pes": n_pes, "n_kps": n_kps, "seed": seed},
     )
-    result = run_optimistic(
-        HotPotatoModel(cfg, fault_plan=plan),
-        ecfg,
-        metrics=capture.metrics if capture is not None else None,
-        faults=faults,
-    )
-    if capture is not None:
-        capture.finalize(result)
-    return result
 
 
 def run_scenario_point(
@@ -316,41 +350,29 @@ def run_scenario_point(
     if seed is None:
         seed = compiled.seed
     tag = f"scen_{compiled.name}_{kind}_s{seed}"
-    scen_key = {
-        "path": str(path),
-        "name": compiled.name,
-        "hash": compiled.scenario_hash(),
+    spec = {
+        "kind": kind,
+        "scenario": {
+            "path": str(path),
+            "name": compiled.name,
+            "hash": compiled.scenario_hash(),
+        },
+        "seed": seed,
     }
+    if kind != "seq":
+        defaults = compiled.engine_defaults
+        spec.update(
+            (key, defaults[key])
+            for key in ("n_pes", "n_kps", "batch_size", "window")
+        )
     if _SUPERVISOR is not None:
-        spec = {
-            "kind": kind, "scenario": scen_key, "seed": seed,
-            "telemetry": _telemetry_path(tag),
-            "checkpoint_every": _SUPERVISOR.cfg.checkpoint_every,
-        }
-        if kind != "seq":
-            spec.update({
-                "n_pes": compiled.n_pes, "n_kps": compiled.n_kps,
-                "batch_size": compiled.batch_size, "window": compiled.window,
-            })
-        return _supervised(spec)
+        return _supervised(spec, tag)
     capture = _capture(
         tag,
         {"engine": kind, "scenario": compiled.name,
-         "scenario_hash": scen_key["hash"], "seed": seed},
+         "scenario_hash": spec["scenario"]["hash"], "seed": seed},
     )
-    engine = {"seq": "sequential", "cons": "conservative",
-              "opt": "optimistic"}[kind]
-    model = compiled.build_model(delivery_log=(kind == "seq"))
-    result = compiled.run(
-        engine,
-        seed=seed,
-        model=model,
-        metrics=capture.metrics if capture is not None else None,
-    )
-    if kind == "seq":
-        from repro.experiments.pointworker import _delivery_percentiles
-
-        result.model_stats.update(_delivery_percentiles(model.delivery_log))
+    result = run_point_inline(compiled, spec, capture=capture)
     if capture is not None:
         capture.finalize(result)
     return result

@@ -12,13 +12,10 @@ complete model statistics including the per-router fingerprint.
 
 from __future__ import annotations
 
-from repro.core.config import EngineConfig
-from repro.core.engine import run_sequential
-from repro.core.optimistic import run_optimistic
 from repro.experiments.common import SweepParams, kp_count_for
 from repro.experiments.report import Table
 from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
+from repro.hotpotato.simulation import HotPotatoSimulation
 
 __all__ = ["run", "CONFIG_MATRIX"]
 
@@ -40,8 +37,11 @@ CONFIG_MATRIX: tuple[tuple[int, int, int, str, str, str, str], ...] = (
 def run(params: SweepParams) -> Table:
     """Validate repeatability on the smallest sweep size."""
     n = params.sizes[0]
-    cfg = HotPotatoConfig(n=n, duration=params.duration, injector_fraction=1.0)
-    oracle = run_sequential(HotPotatoModel(cfg), cfg.duration, seed=params.seed)
+    sim = HotPotatoSimulation(
+        HotPotatoConfig(n=n, duration=params.duration, injector_fraction=1.0),
+        seed=params.seed,
+    )
+    oracle = sim.run()
     table = Table(
         title=f"Attachment 3 — parallel vs sequential results (N={n})",
         columns=[
@@ -59,8 +59,8 @@ def run(params: SweepParams) -> Table:
     all_match = True
     for n_pes, kp_req, batch, mapping, rollback, transport, cancel in CONFIG_MATRIX:
         n_kps = kp_count_for(n, kp_req, n_pes) if mapping == "block" else kp_req
-        ecfg = EngineConfig(
-            end_time=cfg.duration,
+        result = sim.run(
+            "optimistic",
             n_pes=n_pes,
             n_kps=n_kps,
             batch_size=batch,
@@ -68,9 +68,7 @@ def run(params: SweepParams) -> Table:
             rollback=rollback,
             transport=transport,
             cancellation=cancel,
-            seed=params.seed,
         )
-        result = run_optimistic(HotPotatoModel(cfg), ecfg)
         match = result.model_stats == oracle.model_stats
         all_match &= match
         table.add_row(

@@ -37,65 +37,15 @@ silently compute a different experiment.
 from __future__ import annotations
 
 import json
-import math
 import os
 import pickle
 import sys
 import time
 from pathlib import Path
 
+from repro.experiments.common import point_simulation, run_point_inline
+
 __all__ = ["run_spec", "main"]
-
-
-def _materialize_fault_plan(fault, n: int, duration: float):
-    """Expand a JSON fault spec into a FaultPlan (or None)."""
-    if not fault:
-        return None
-    from repro.faults import DEFAULT_FAULT_SEED, generate_plan, load_plan
-
-    if "plan" in fault:
-        return load_plan(fault["plan"])
-    from repro.net import TorusTopology
-
-    seed = fault.get("seed")
-    return generate_plan(
-        TorusTopology(n),
-        duration=duration,
-        link_fail_rate=fault["link_rate"],
-        seed=seed if seed is not None else DEFAULT_FAULT_SEED,
-    )
-
-
-def _delivery_percentiles(log) -> dict:
-    """Nearest-rank latency percentiles of a ``(step, latency)`` log."""
-    if not log:
-        return {"latency_p50": 0.0, "latency_p95": 0.0, "latency_p99": 0.0}
-    latencies = sorted(latency for _, latency in log)
-
-    def rank(q: float) -> float:
-        return float(latencies[max(0, math.ceil(q * len(latencies)) - 1)])
-
-    return {
-        "latency_p50": rank(0.50),
-        "latency_p95": rank(0.95),
-        "latency_p99": rank(0.99),
-    }
-
-
-def _materialize_scenario(scen: dict, want_delivery_log: bool):
-    """Rebuild a scenario point's model parts, verifying the file hash."""
-    from repro.scenarios import compile_scenario, load_scenario
-
-    compiled = compile_scenario(load_scenario(scen["path"]))
-    digest = compiled.scenario_hash()
-    want = scen.get("hash")
-    if want and digest != want:
-        raise ValueError(
-            f"scenario {scen['path']!r} hashes to {digest}, but the sweep "
-            f"manifest recorded {want}; the file changed since the sweep "
-            "was launched — refusing to compute a different experiment"
-        )
-    return compiled, compiled.build_model(delivery_log=want_delivery_log)
 
 
 def _spec_marker(spec: dict) -> dict:
@@ -125,33 +75,17 @@ def _sabotage(spec: dict, ckpt_dir: Path) -> None:
 def run_spec(spec: dict, heartbeat: Path, ckpt_dir: Path):
     """Build the spec's engine, resume from CKPT_DIR if possible, run."""
     from repro.ckpt import Checkpointer, deferred_interrupts, latest_snapshot
-    from repro.hotpotato.config import HotPotatoConfig
-    from repro.hotpotato.model import HotPotatoModel
     from repro.obs.capture import RunCapture
 
     _sabotage(spec, ckpt_dir)
 
-    kind = spec["kind"]
-    seed = spec["seed"]
-    scen = spec.get("scenario")
-    if scen is not None:
-        compiled, model = _materialize_scenario(scen, kind == "seq")
-        duration = compiled.duration
-        plan = compiled.fault_plan
-        meta = {"engine": kind, "scenario": compiled.name,
-                "scenario_hash": compiled.scenario_hash(),
-                "duration": duration, "seed": seed}
+    sim = point_simulation(spec)
+    meta = {"engine": spec["kind"], "duration": sim.cfg.duration,
+            "seed": spec["seed"]}
+    if "scenario" in spec:
+        meta.update(scenario=sim.name, scenario_hash=sim.scenario_hash())
     else:
-        compiled = None
-        n = spec["n"]
-        duration = spec["duration"]
-        plan = _materialize_fault_plan(spec.get("fault"), n, duration)
-        cfg = HotPotatoConfig(
-            n=n, duration=duration, injector_fraction=spec["load"]
-        )
-        model = HotPotatoModel(cfg, fault_plan=plan)
-        meta = {"engine": kind, "n": n, "load": spec["load"],
-                "duration": duration, "seed": seed}
+        meta.update(n=spec["n"], load=spec["load"])
 
     ckpt = Checkpointer(
         ckpt_dir,
@@ -168,66 +102,23 @@ def run_spec(spec: dict, heartbeat: Path, ckpt_dir: Path):
         capture = RunCapture(
             metrics_out=telemetry,
             meta=meta,
-            fault_plan=plan,
-            injection_plan=(
-                compiled.injection_plan if compiled is not None else None
-            ),
+            fault_plan=sim.fault_plan,
+            injection_plan=sim.injection_plan,
         )
     else:
         capture = None
 
-    faults = None
-    if plan is not None and plan.has_engine_faults:
-        from repro.faults.injector import EngineFaults
-
-        faults = EngineFaults(plan)
-
-    if kind == "seq":
-        from repro.core.engine import SequentialEngine
-
-        engine = SequentialEngine(model, duration, seed=seed)
-    elif kind == "opt":
-        from repro.core.config import EngineConfig
-        from repro.core.optimistic import TimeWarpKernel
-
-        ecfg = EngineConfig(
-            end_time=duration,
-            n_pes=spec["n_pes"],
-            n_kps=spec["n_kps"],
-            batch_size=spec.get("batch_size", 16),
-            window=spec.get("window"),
-            seed=seed,
-            **(spec.get("overrides") or {}),
-        )
-        engine = TimeWarpKernel(model, ecfg)
-    elif kind == "cons":
-        from repro.core.conservative import ConservativeConfig, ConservativeKernel
-
-        ccfg = ConservativeConfig(
-            end_time=duration, n_pes=spec["n_pes"], seed=seed
-        )
-        engine = ConservativeKernel(model, ccfg)
-    else:
-        raise ValueError(f"unknown point kind {kind!r}")
-
-    if capture is not None:
-        capture.attach(engine)
-    if faults is not None:
-        engine.attach_faults(faults)
-    engine.attach_checkpointer(ckpt)
-    ckpt.capture = capture
-
     try:
         with deferred_interrupts(ckpt):
-            result = engine.run()
+            result = run_point_inline(
+                sim, spec, capture=capture, checkpointer=ckpt
+            )
     except KeyboardInterrupt:
         if capture is not None:
             capture.finalize(None)
         sys.exit(130)
     if capture is not None:
         capture.finalize(result)
-    if compiled is not None and kind == "seq":
-        result.model_stats.update(_delivery_percentiles(model.delivery_log))
     return result
 
 

@@ -46,10 +46,11 @@ def _fault_spec(params: SweepParams, rate: float) -> dict | None:
 
 def _links_down(params: SweepParams, n: int, rate: float) -> int:
     """Count the scheduled link_down events for the row's label column."""
-    from repro.experiments.pointworker import _materialize_fault_plan
+    from repro.faults import plan_from_spec
+    from repro.hotpotato.config import HotPotatoConfig
 
-    plan = _materialize_fault_plan(
-        _fault_spec(params, rate), n, params.duration
+    plan = plan_from_spec(
+        _fault_spec(params, rate), HotPotatoConfig(n=n, duration=params.duration)
     )
     if plan is None:
         return 0

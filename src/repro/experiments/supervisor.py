@@ -61,10 +61,6 @@ from repro.health import RecoveryPolicy
 
 __all__ = ["Supervisor", "SupervisorConfig", "PointFailure", "point_id"]
 
-#: Spec ``kind`` values <-> the engine names RecoveryPolicy's chain uses.
-_CHAIN_KIND = {"seq": "sequential", "opt": "optimistic", "cons": "conservative"}
-_SPEC_KIND = {v: k for k, v in _CHAIN_KIND.items()}
-
 
 class PointFailure(RuntimeError):
     """A sweep point failed permanently (retries and fallback exhausted)."""
@@ -279,13 +275,13 @@ class Supervisor:
         # degrading all the way to sequential, because a conservative
         # run that *also* wedges points at the workload, not the engine.
         fb_kind = (
-            self.policy.next_kind(_CHAIN_KIND.get(spec["kind"], ""))
+            self.policy.next_kind("optimistic")
             if spec["kind"] == "opt"
             else None
         )
         if fb_kind is not None:
-            fb_engine = _SPEC_KIND[fb_kind]
             fb_spec = self._conservative_twin(spec)
+            fb_engine = fb_spec["kind"]
             self._journal(
                 point=pid,
                 status="fallback",

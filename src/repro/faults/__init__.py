@@ -36,6 +36,7 @@ from repro.faults.plan import (
     PEStall,
     generate_plan,
     load_plan,
+    plan_from_spec,
 )
 from repro.faults.transport import FaultyTransport
 from repro.faults.views import NodeFaults, compile_node_views, static_failed_links
@@ -56,5 +57,6 @@ __all__ = [
     "compile_node_views",
     "generate_plan",
     "load_plan",
+    "plan_from_spec",
     "static_failed_links",
 ]

@@ -57,6 +57,7 @@ __all__ = [
     "FaultPlanError",
     "generate_plan",
     "load_plan",
+    "plan_from_spec",
 ]
 
 LINK_DOWN = "link_down"
@@ -340,6 +341,30 @@ def load_plan(source: str | Path | IO[str]) -> FaultPlan:
     if isinstance(source, (str, Path)):
         return FaultPlan.from_json(Path(source).read_text())
     return FaultPlan.from_json(source.read())
+
+
+def plan_from_spec(fault: Mapping[str, Any] | None, cfg) -> FaultPlan | None:
+    """The plan a JSON fault spec names for a hot-potato configuration.
+
+    ``fault`` is ``None`` (no faults), ``{"plan": path}`` (a plan file)
+    or ``{"link_rate": r, "seed": s}`` (each link of ``cfg``'s topology
+    fails permanently with probability ``r``; ``seed`` ``None`` means
+    :data:`DEFAULT_FAULT_SEED`).  Sweep points, chaos episodes and the
+    ``repro.hotpotato`` fault flags all describe their faults this way.
+    """
+    if not fault:
+        return None
+    if "plan" in fault:
+        return load_plan(fault["plan"])
+    from repro.net import TOPOLOGIES
+
+    seed = fault.get("seed")
+    return generate_plan(
+        TOPOLOGIES[cfg.topology](cfg.n),
+        duration=cfg.duration,
+        link_fail_rate=fault["link_rate"],
+        seed=DEFAULT_FAULT_SEED if seed is None else seed,
+    )
 
 
 # ----------------------------------------------------------------------

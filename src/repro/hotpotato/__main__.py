@@ -21,11 +21,25 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import ConfigurationError
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.simulation import HotPotatoSimulation
 from repro.obs.capture import RunCapture
 
 __all__ = ["main", "build_parser"]
+
+#: Flags describing the workload.  A --scenario file describes the whole
+#: workload itself, so these are refused next to it.
+_WORKLOAD_FLAGS = (
+    "--n",
+    "--duration",
+    "--probability-i",
+    "--topology",
+    "--no-absorb-sleeping",
+    "--fault-plan",
+    "--fault-rate",
+    "--fault-seed",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         metavar="FILE",
         help="load the whole workload — topology, traffic, routing policy, "
-        "faults, duration, seed — from a declarative scenario file "
-        "(see docs/SCENARIOS.md); workload flags above are then ignored, "
-        "engine flags still apply",
+        "faults, duration, seed — and the engine defaults from a "
+        "declarative scenario file (see docs/SCENARIOS.md); workload "
+        "flags are refused with it, explicit engine flags override its "
+        "engine section",
     )
     parser.add_argument(
         "--procs",
@@ -83,8 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--processors.  --procs 1 forks a single worker — useful only "
         "for measuring process-mode overhead.  Default: in-process.",
     )
-    parser.add_argument("--kps", type=int, default=16, help="kernel processes (default 16)")
-    parser.add_argument("--batch", type=int, default=16, help="optimism batch size")
+    parser.add_argument(
+        "--kps", type=int, default=None,
+        help="kernel processes (default: the scenario's, else the largest "
+        "count up to 16 that tiles the grid)",
+    )
+    parser.add_argument(
+        "--batch", type=int, default=None,
+        help="optimism batch size (default: the scenario's, else 16)",
+    )
     parser.add_argument(
         "--gvt-interval",
         type=int,
@@ -101,8 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--executor",
         choices=("scalar", "vectorized"),
-        default="scalar",
-        help="LP stepping mode: 'vectorized' steps same-timestamp-band "
+        default=None,
+        help="LP stepping mode (default: the scenario's, else scalar): "
+        "'vectorized' steps same-timestamp-band "
         "event runs through the fused band batch where the optimistic "
         "engine allows it (committed results are identical either way; "
         "see docs/KERNEL.md)",
@@ -210,24 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_fault_plan(args, cfg: HotPotatoConfig):
-    """Build the FaultPlan the flags ask for, or None."""
-    if args.fault_plan:
-        from repro.faults import load_plan
-
-        return load_plan(args.fault_plan)
-    if args.fault_rate:
-        from repro.faults import DEFAULT_FAULT_SEED, generate_plan
-        from repro.net import MeshTopology, TorusTopology
-
-        topo_cls = TorusTopology if cfg.torus else MeshTopology
-        return generate_plan(
-            topo_cls(cfg.n),
-            duration=cfg.duration,
-            link_fail_rate=args.fault_rate / 100.0,
-            seed=args.fault_seed if args.fault_seed is not None else DEFAULT_FAULT_SEED,
-        )
-    return None
+def _given(argv, flags) -> list[str]:
+    """Which of ``flags`` the command line sets explicitly."""
+    probe = build_parser()
+    dests = {flag[2:].replace("-", "_"): flag for flag in flags}
+    for action in probe._actions:
+        if action.dest in dests:
+            action.default = argparse.SUPPRESS
+    given = vars(probe.parse_args(argv))
+    return [flag for dest, flag in dests.items() if dest in given]
 
 
 def _config_marker(args, seed: int, scenario_meta: dict) -> dict:
@@ -284,27 +298,27 @@ def main(argv: list[str] | None = None) -> int:
             print("--paranoid checks are per-worker and cannot see "
                   "cross-worker packet conservation; drop one of the flags")
             return 2
-    policy = None
-    injection_plan = None
     scenario_meta: dict = {}
     if args.scenario:
-        from repro.scenarios import ScenarioError, compile_scenario, load_scenario
+        from repro.scenarios import compile_scenario, load_scenario
 
+        given = _given(argv, _WORKLOAD_FLAGS)
+        if given:
+            print(f"--scenario describes the whole workload; drop "
+                  f"{', '.join(given)}", file=sys.stderr)
+            return 2
         try:
-            compiled = compile_scenario(load_scenario(args.scenario))
-        except (ScenarioError, OSError) as exc:
+            sim = compile_scenario(load_scenario(args.scenario))
+        except (ConfigurationError, OSError) as exc:
             print(f"scenario error: {exc}", file=sys.stderr)
             return 2
-        cfg = compiled.cfg
-        policy = compiled.policy
-        fault_plan = compiled.fault_plan
-        injection_plan = compiled.injection_plan
-        seed = args.seed if args.seed is not None else compiled.seed
         scenario_meta = {
-            "scenario": compiled.name,
-            "scenario_hash": compiled.scenario_hash(),
+            "scenario": sim.name,
+            "scenario_hash": sim.scenario_hash(),
         }
     else:
+        from repro.faults import plan_from_spec
+
         cfg = HotPotatoConfig(
             n=args.n,
             duration=args.duration,
@@ -312,18 +326,55 @@ def main(argv: list[str] | None = None) -> int:
             absorb_sleeping=not args.no_absorb_sleeping,
             topology=args.topology,
         )
-        seed = args.seed if args.seed is not None else 0x5EED
+        fault = None
+        if args.fault_plan:
+            fault = {"plan": args.fault_plan}
+        elif args.fault_rate:
+            fault = {"link_rate": args.fault_rate / 100.0, "seed": args.fault_seed}
         try:
-            fault_plan = _resolve_fault_plan(args, cfg)
+            fault_plan = plan_from_spec(fault, cfg)
         except Exception as exc:  # bad plan file / invalid plan
             print(f"fault plan error: {exc}", file=sys.stderr)
             return 2
-    sim = HotPotatoSimulation(
-        cfg, policy, seed=seed, fault_plan=fault_plan,
-        injection_plan=injection_plan,
+        sim = HotPotatoSimulation(cfg, fault_plan=fault_plan)
+    if args.seed is not None:
+        sim.seed = args.seed
+    # Explicit engine flags override the engine defaults (the scenario's
+    # engine section, or the facade's); each engine takes the knobs it has.
+    sim.engine_defaults.update(
+        (name, value)
+        for name, value in (
+            ("n_kps", args.kps),
+            ("batch_size", args.batch),
+            ("executor", args.executor),
+            ("gvt_interval", args.gvt_interval),
+            ("cancellation", args.cancellation),
+            ("paranoid", args.paranoid),
+        )
+        if value is not None
     )
+    cfg, seed = sim.cfg, sim.seed
+    fault_plan, injection_plan = sim.fault_plan, sim.injection_plan
     use_parallel = args.processors > 1 or args.procs is not None
     engine = "optimistic" if use_parallel else "sequential"
+    knobs = {"n_pes": args.processors} if use_parallel else {}
+    if args.procs is not None:
+        knobs.update(parallelism="process", procs=args.procs)
+    twin = None
+    if args.validate:
+        # The twin is the sequential oracle when the main run is
+        # optimistic (in-process or --procs), else a 4-PE Time Warp run.
+        # Building it first refuses a KP count that cannot tile the grid
+        # before any run prints results.
+        try:
+            twin = (
+                sim.engine("sequential")
+                if use_parallel
+                else sim.engine("optimistic", n_pes=4)
+            )
+        except ConfigurationError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
 
     ckpt = None
     if args.checkpoint_dir:
@@ -393,38 +444,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with wall_deadline(args.deadline_seconds, ckpt) as deadline_expired, \
                 deferred_interrupts(ckpt):
-            if not use_parallel:
-                result = sim.run(
-                    tracer=capture.tracer,
-                    metrics=capture.metrics,
-                    spans=capture.spans,
-                    checkpointer=ckpt,
-                    health=watchdog,
-                    paranoid=args.paranoid,
-                    executor=args.executor,
-                )
-            else:
-                mp_overrides = {}
-                if args.procs is not None:
-                    mp_overrides = {
-                        "parallelism": "process",
-                        "procs": args.procs,
-                    }
-                result = sim.run_parallel(
-                    n_pes=args.processors,
-                    n_kps=args.kps,
-                    batch_size=args.batch,
-                    gvt_interval=args.gvt_interval,
-                    tracer=capture.tracer,
-                    metrics=capture.metrics,
-                    spans=capture.spans,
-                    checkpointer=ckpt,
-                    health=watchdog,
-                    paranoid=args.paranoid,
-                    cancellation=args.cancellation,
-                    executor=args.executor,
-                    **mp_overrides,
-                )
+            result = sim.run(
+                engine,
+                tracer=capture.tracer,
+                metrics=capture.metrics,
+                spans=capture.spans,
+                checkpointer=ckpt,
+                health=watchdog,
+                **knobs,
+            )
+    except ConfigurationError as exc:
+        # Raised while the engine is built, before anything ran.
+        capture.finalize(None)
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         capture.finalize(None)
         if deadline_expired():
@@ -463,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
     run = result.run
     label = f", scenario={scenario_meta['scenario']}" if scenario_meta else ""
     procs_label = f" x {run.procs} procs" if run.procs > 1 else ""
-    print(f"{cfg.n}x{cfg.n} {cfg.topology}, {sum(sim._model().injectors)} injectors, "
+    print(f"{cfg.n}x{cfg.n} {cfg.topology}, {result.model_stats['injectors']} injectors, "
           f"{cfg.duration:.0f} steps, engine={run.engine} "
           f"({run.n_pes} PE{procs_label}){label}")
     print(f"  events committed   : {run.committed:,}")
@@ -495,18 +528,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"{run.transport_delayed:,} delayed; "
                   f"{run.pe_stall_rounds:,} PE stall rounds")
 
-    if args.validate:
-        # The twin is the sequential oracle when the main run was
-        # optimistic (in-process or --procs), else a 4-PE Time Warp run.
-        other = (
-            sim.run()
-            if use_parallel
-            else sim.run_parallel(
-                n_pes=4, n_kps=args.kps, batch_size=args.batch,
-                cancellation=args.cancellation,
-                executor=args.executor,
-            )
-        )
+    if twin is not None:
+        other = twin.run()
         identical = other.model_stats == ms
         print(f"  cross-engine check : {'IDENTICAL' if identical else 'MISMATCH'} "
               f"(vs {other.run.engine})")

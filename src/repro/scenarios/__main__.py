@@ -21,13 +21,11 @@ import argparse
 import sys
 
 from repro.errors import ConfigurationError
-from repro.scenarios.compile import ENGINES, compile_scenario
+from repro.hotpotato.simulation import ENGINE_ALIASES, ENGINES, engine_kind
+from repro.scenarios.compile import compile_scenario
 from repro.scenarios.spec import load_scenario
 
 __all__ = ["main", "build_parser"]
-
-#: Short engine aliases accepted everywhere next to the full names.
-_ENGINE_ALIASES = {"seq": "sequential", "cons": "conservative", "opt": "optimistic"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--engine",
         default="sequential",
-        choices=tuple(ENGINES) + tuple(_ENGINE_ALIASES),
+        choices=ENGINES + tuple(ENGINE_ALIASES),
         help="engine to run on (default sequential; seq/cons/opt accepted)",
     )
     p_run.add_argument(
@@ -146,10 +144,11 @@ def cmd_show(path: str) -> int:
             f"{traffic.get('injector_fraction', 1.0)}"
         )
     print(f"routing  : {compiled.policy.name}")
+    defaults = compiled.engine_defaults
     print(
-        f"engine   : duration {compiled.duration:g}, seed {compiled.seed}, "
-        f"defaults n_pes={compiled.n_pes} n_kps={compiled.n_kps} "
-        f"batch={compiled.batch_size} executor={compiled.executor}"
+        f"engine   : duration {cfg.duration:g}, seed {compiled.seed}, "
+        f"defaults n_pes={defaults['n_pes']} n_kps={defaults['n_kps']} "
+        f"batch={defaults['batch_size']} executor={defaults['executor']}"
     )
     overrides = scenario.engine.get("overrides", {})
     if overrides:
@@ -170,7 +169,29 @@ def cmd_run(args) -> int:
 
     scenario = load_scenario(args.file)
     compiled = compile_scenario(scenario)
-    engine = _ENGINE_ALIASES.get(args.engine, args.engine)
+    engine = engine_kind(args.engine)
+    # Explicit flags override the scenario's engine section; each engine
+    # takes the knobs it has (the oracle ignores --kps, say).
+    if args.seed is not None:
+        compiled.seed = args.seed
+    compiled.engine_defaults.update(
+        (name, value)
+        for name, value in (
+            ("n_pes", args.processors),
+            ("n_kps", args.kps),
+            ("batch_size", args.batch),
+            ("executor", args.executor),
+        )
+        if value is not None
+    )
+    # The --validate twin is the oracle for a parallel run, else Time
+    # Warp.  Building it first refuses a KP count that cannot tile the
+    # grid before the main run prints anything.
+    twin = None
+    if args.validate:
+        twin = compiled.engine(
+            "optimistic" if engine == "sequential" else "sequential"
+        )
     capture = RunCapture(
         metrics_out=args.metrics_out,
         trace_out=args.trace_out,
@@ -183,19 +204,14 @@ def cmd_run(args) -> int:
             "n": compiled.cfg.n,
             "topology": compiled.cfg.topology,
             "policy": compiled.policy.name,
-            "duration": compiled.duration,
-            "seed": args.seed if args.seed is not None else compiled.seed,
+            "duration": compiled.cfg.duration,
+            "seed": compiled.seed,
         },
         fault_plan=compiled.fault_plan,
         injection_plan=compiled.injection_plan,
     )
     result = compiled.run(
         engine,
-        seed=args.seed,
-        n_pes=args.processors,
-        n_kps=args.kps,
-        batch_size=args.batch,
-        executor=args.executor,
         tracer=capture.tracer,
         metrics=capture.metrics,
         spans=capture.spans,
@@ -210,7 +226,7 @@ def cmd_run(args) -> int:
     print(
         f"{compiled.name} [{compiled.scenario_hash()}]: {cfg.n}x{cfg.n} "
         f"{cfg.topology}, policy={compiled.policy.name}, "
-        f"{compiled.duration:g} steps, engine={run.engine} ({run.n_pes} PE)"
+        f"{cfg.duration:g} steps, engine={run.engine} ({run.n_pes} PE)"
     )
     print(f"  events committed   : {run.committed:,}")
     if run.soa_decline_reason:
@@ -233,19 +249,10 @@ def cmd_run(args) -> int:
             f"({ms.get('failed_links', 0)} links statically failed)"
         )
 
-    if args.validate and engine != "sequential":
-        oracle = compiled.run("sequential", seed=args.seed)
-        identical = oracle.model_stats == ms
-        print(f"  oracle check       : {'IDENTICAL' if identical else 'MISMATCH'}")
-        if not identical:
-            return 1
-    elif args.validate:
-        twin = compiled.run(
-            "optimistic", seed=args.seed, n_pes=args.processors,
-            n_kps=args.kps, batch_size=args.batch, executor=args.executor,
-        )
-        identical = twin.model_stats == ms
-        print(f"  cross-engine check : {'IDENTICAL' if identical else 'MISMATCH'}")
+    if twin is not None:
+        identical = twin.run().model_stats == ms
+        label = "cross-engine check" if engine == "sequential" else "oracle check      "
+        print(f"  {label} : {'IDENTICAL' if identical else 'MISMATCH'}")
         if not identical:
             return 1
     return 0

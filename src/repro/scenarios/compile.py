@@ -3,22 +3,18 @@
 The compiler is the one place scenario JSON meets real objects: the
 topology registry, :class:`~repro.hotpotato.config.HotPotatoConfig`, the
 policy registry, the adversary expansion and the fault-plan loader.  The
-result — a :class:`CompiledScenario` — builds fresh
-:class:`~repro.hotpotato.model.HotPotatoModel` populations on demand
-(models are single-use) and knows how to run itself on any of the three
-engines through the same convenience wrappers the CLIs use, so a
-scenario is guaranteed to mean the same thing everywhere it is consumed.
+result — a :class:`CompiledScenario` — is a
+:class:`~repro.hotpotato.simulation.HotPotatoSimulation`, so a scenario
+builds and runs its engines exactly as every other workload does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.baselines.policies import make_policy
+from repro.core.mapping import kp_count_for
 from repro.errors import ConfigurationError
 from repro.hotpotato.config import HotPotatoConfig
-from repro.hotpotato.model import HotPotatoModel
-from repro.hotpotato.policy import RoutingPolicy
+from repro.hotpotato.simulation import HotPotatoSimulation
 from repro.net import TOPOLOGIES
 from repro.scenarios.adversary import (
     DEFAULT_ADVERSARY_SEED,
@@ -30,27 +26,20 @@ from repro.scenarios.spec import Scenario, ScenarioError
 
 __all__ = ["CompiledScenario", "compile_scenario"]
 
-#: Engines a compiled scenario can run on.
-ENGINES = ("sequential", "conservative", "optimistic")
 
+class CompiledScenario(HotPotatoSimulation):
+    """A scenario resolved into a simulation.
 
-@dataclass
-class CompiledScenario:
-    """A scenario resolved into config, policy, plans and run defaults."""
+    Adds the scenario's identity to :class:`HotPotatoSimulation`; its
+    ``engine_defaults`` are the scenario's engine section (``n_pes``,
+    ``n_kps``, ``batch_size``, ``window``, ``executor``), so
+    :meth:`~HotPotatoSimulation.engine` and
+    :meth:`~HotPotatoSimulation.run` use them unless a knob overrides.
+    """
 
-    scenario: Scenario
-    cfg: HotPotatoConfig
-    policy: RoutingPolicy
-    injection_plan: InjectionPlan | None
-    fault_plan: object
-    duration: float
-    seed: int
-    #: Parallel-engine defaults from the scenario's engine section.
-    n_pes: int
-    n_kps: int
-    batch_size: int
-    window: float | None
-    executor: str
+    def __init__(self, scenario: Scenario, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.scenario = scenario
 
     @property
     def name(self) -> str:
@@ -61,138 +50,8 @@ class CompiledScenario:
         """Content hash identifying the scenario (see ``Scenario``)."""
         return self.scenario.scenario_hash()
 
-    # ------------------------------------------------------------------
-    def build_model(self, *, delivery_log: bool | None = None) -> HotPotatoModel:
-        """Fresh model population (models are single-use per run)."""
-        cfg = self.cfg
-        if delivery_log is not None and delivery_log != cfg.delivery_log:
-            from dataclasses import replace
-
-            cfg = replace(cfg, delivery_log=delivery_log)
-        return HotPotatoModel(
-            cfg,
-            self.policy,
-            fault_plan=self.fault_plan,
-            injection_plan=self.injection_plan,
-        )
-
-    def _engine_faults(self):
-        plan = self.fault_plan
-        if plan is None or not plan.has_engine_faults:
-            return None
-        from repro.faults.injector import EngineFaults
-
-        return EngineFaults(plan)
-
-    def run(
-        self,
-        engine: str = "sequential",
-        *,
-        seed: int | None = None,
-        n_pes: int | None = None,
-        n_kps: int | None = None,
-        batch_size: int | None = None,
-        window: float | None = None,
-        executor: str | None = None,
-        tracer=None,
-        metrics=None,
-        spans=None,
-        delivery_log: bool | None = None,
-        model: HotPotatoModel | None = None,
-    ):
-        """Run the scenario on one engine; returns the RunResult.
-
-        Keyword arguments override the scenario's engine-section
-        defaults; pass ``model`` to run a population you built (and kept
-        a reference to) yourself — e.g. to read its delivery log after.
-        """
-        if engine not in ENGINES:
-            raise ScenarioError(
-                f"unknown engine {engine!r}; choose from {list(ENGINES)}"
-            )
-        if model is None:
-            model = self.build_model(delivery_log=delivery_log)
-        seed = self.seed if seed is None else seed
-        executor = self.executor if executor is None else executor
-        if engine == "sequential":
-            from repro.core.engine import run_sequential
-
-            return run_sequential(
-                model,
-                self.duration,
-                seed=seed,
-                executor=executor,
-                tracer=tracer,
-                metrics=metrics,
-                spans=spans,
-            )
-        faults = self._engine_faults()
-        if engine == "conservative":
-            from repro.core.conservative import (
-                ConservativeConfig,
-                run_conservative,
-            )
-
-            ccfg = ConservativeConfig(
-                end_time=self.duration,
-                n_pes=self.n_pes if n_pes is None else n_pes,
-                lookahead=model.lookahead,
-                seed=seed,
-            )
-            return run_conservative(
-                model, ccfg, tracer=tracer, metrics=metrics, spans=spans,
-                faults=faults,
-            )
-        from repro.core.config import EngineConfig
-        from repro.core.optimistic import run_optimistic
-
-        pes = self.n_pes if n_pes is None else n_pes
-        ecfg = EngineConfig(
-            end_time=self.duration,
-            n_pes=pes,
-            n_kps=(self.n_kps if n_kps is None else n_kps) or 4 * pes,
-            batch_size=self.batch_size if batch_size is None else batch_size,
-            window=self.window if window is None else window,
-            seed=seed,
-            executor=executor,
-        )
-        return run_optimistic(
-            model, ecfg, tracer=tracer, metrics=metrics, spans=spans,
-            faults=faults,
-        )
-
 
 # ----------------------------------------------------------------------
-def _default_kp_count(n: int, requested: int, n_pes: int) -> int:
-    """Largest KP count <= ``requested`` whose block mapping tiles n×n.
-
-    Scenarios name arbitrary grid sizes (a 6×6 mesh, say), where the
-    stock ``4 * n_pes`` KPs may not tile; rather than make every
-    scenario author pick a divisor by hand, round down to one that
-    fits — exactly the rule the experiment sweeps use.
-    """
-    from repro.core.mapping import balanced_tile_counts
-
-    def fits(k: int) -> bool:
-        if k < n_pes or k % n_pes or k > n * n:
-            return False
-        kr, kc = balanced_tile_counts(k)
-        if n % kr or n % kc:
-            return False
-        pr, pc = balanced_tile_counts(n_pes)
-        return kr % pr == 0 and kc % pc == 0
-
-    k = requested
-    while k >= n_pes:
-        if fits(k):
-            return k
-        k -= 1
-    raise ScenarioError(
-        f"no usable KP count <= {requested} for n={n}, n_pes={n_pes}; "
-        "set engine.n_kps (and possibly engine.n_pes) explicitly"
-    )
-
-
 def _compile_traffic(scenario: Scenario, n: int, topo_kind: str, duration: float):
     """Resolve the traffic section: (injector_fraction, InjectionPlan|None)."""
     traffic = scenario.traffic
@@ -293,17 +152,18 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
     policy = make_policy(scenario.routing.get("policy", "busch"))
     n_pes = int(eng.get("n_pes", 4))
     return CompiledScenario(
-        scenario=scenario,
-        cfg=cfg,
-        policy=policy,
-        injection_plan=injection_plan,
-        fault_plan=fault_plan,
-        duration=duration,
+        scenario,
+        cfg,
+        policy,
         seed=seed,
-        n_pes=n_pes,
-        n_kps=int(eng.get("n_kps", 0))
-        or _default_kp_count(n, 4 * n_pes, n_pes),
-        batch_size=int(eng.get("batch_size", 16)),
-        window=eng.get("window"),
-        executor=str(eng.get("executor", "scalar")),
+        fault_plan=fault_plan,
+        injection_plan=injection_plan,
+        engine_defaults={
+            "n_pes": n_pes,
+            "n_kps": int(eng.get("n_kps", 0))
+            or kp_count_for(n, 4 * n_pes, n_pes),
+            "batch_size": int(eng.get("batch_size", 16)),
+            "window": eng.get("window"),
+            "executor": str(eng.get("executor", "scalar")),
+        },
     )

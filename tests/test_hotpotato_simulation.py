@@ -3,6 +3,10 @@
 import pytest
 
 from repro.core.config import EngineConfig
+from repro.core.conservative import ConservativeKernel
+from repro.core.engine import SequentialEngine
+from repro.core.optimistic import TimeWarpKernel
+from repro.errors import ConfigurationError
 from repro.hotpotato.config import HotPotatoConfig
 from repro.hotpotato.simulation import HotPotatoSimulation
 
@@ -77,3 +81,37 @@ def test_heartbeat_parallel_matches_sequential():
     par = sim.run_parallel(n_pes=2, n_kps=4, mapping="striped")
     assert seq.model_stats == par.model_stats
     assert seq.model_stats["link_utilization"] > 0
+
+
+@pytest.mark.parametrize(
+    "kind, cls",
+    [
+        ("sequential", SequentialEngine),
+        ("seq", SequentialEngine),
+        ("conservative", ConservativeKernel),
+        ("cons", ConservativeKernel),
+        ("optimistic", TimeWarpKernel),
+        ("opt", TimeWarpKernel),
+    ],
+)
+def test_engine_builds_each_kind(kind, cls):
+    engine = HotPotatoSimulation(CFG).engine(kind)
+    assert type(engine) is cls
+
+
+def test_engine_applies_defaults_then_knobs():
+    sim = HotPotatoSimulation(CFG, engine_defaults={"n_pes": 2, "batch_size": 8})
+    kernel = sim.engine("opt", batch_size=4)
+    assert (kernel.cfg.n_pes, kernel.cfg.batch_size) == (2, 4)
+    assert kernel.cfg.n_kps == 4  # largest count <= 16 tiling 6x6 on 2 PEs
+    assert sim.engine("cons").cfg.n_pes == 2
+
+
+def test_engine_refuses_unknown_kind():
+    with pytest.raises(ConfigurationError, match="unknown engine"):
+        HotPotatoSimulation(CFG).engine("quantum")
+
+
+def test_engine_refuses_process_mode():
+    with pytest.raises(ConfigurationError, match="process mode"):
+        HotPotatoSimulation(CFG).engine("optimistic", parallelism="process")

@@ -131,9 +131,9 @@ def test_compile_rejects_script_outside_topology():
 
 def test_compile_default_kps_fit_odd_grids():
     doc = _doc(topology={"kind": "mesh", "n": 6})
-    compiled = compile_scenario(Scenario.from_dict(doc))
-    assert compiled.n_kps >= compiled.n_pes
-    assert 6 * 6 % compiled.n_kps == 0 or compiled.n_kps <= 36
+    defaults = compile_scenario(Scenario.from_dict(doc)).engine_defaults
+    assert defaults["n_kps"] >= defaults["n_pes"]
+    assert 6 * 6 % defaults["n_kps"] == 0 or defaults["n_kps"] <= 36
 
 
 def test_compile_relative_fault_path(tmp_path):
